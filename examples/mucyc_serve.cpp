@@ -56,7 +56,7 @@ static void usage() {
       "                   [--timeout-ms N] [--mem-limit-mb N]\n"
       "                   [--max-retries N] [--max-refine-steps N]\n"
       "                   [--chaos-seed S] [--no-incremental] [--verify]\n"
-      "                   [--isolate none|crash|always] [--hard-mem-mb N]\n"
+      "                   [--isolate none|crash] [--hard-mem-mb N]\n"
       "                   [--hard-cpu-sec N] [--max-pending N]\n"
       "                   [--max-connections N] [--read-stall-ms N]\n"
       "                   [--idle-timeout-ms N] [--chaos-plan SPEC]\n"

@@ -24,7 +24,7 @@
 //         [--portfolio "CFG1,CFG2,..."] [--jobs N] [--no-incremental]
 //         [--mem-limit-mb N] [--max-retries N] [--max-refine-steps N]
 //         [--chaos-seed S] [--share-lemmas] [--share-import-budget N]
-//         [--isolate none|crash|always] [--hard-mem-mb N] [--hard-cpu-sec N]
+//         [--isolate none|crash] [--hard-mem-mb N] [--hard-cpu-sec N]
 //
 // The shared solver flags (--config, --jobs, --timeout-ms, --mem-limit-mb,
 // --max-retries, --max-refine-steps, --chaos-seed, --no-incremental,
@@ -69,7 +69,7 @@ static void usage() {
       "             [--max-retries N] [--max-refine-steps N] "
       "[--chaos-seed S]\n"
       "             [--share-lemmas] [--share-import-budget N]\n"
-      "             [--isolate none|crash|always] [--hard-mem-mb N]\n"
+      "             [--isolate none|crash] [--hard-mem-mb N]\n"
       "             [--hard-cpu-sec N]\n"
       "configs: Ret(b,cex) | Yld(b,cex) | SpacerTS(fig1|fig15[,Ulev]) |\n"
       "         Naive | NaiveMbp | Solve, optionally wrapped in\n"
@@ -80,9 +80,10 @@ static void usage() {
       "one thread per member); --store-dir caches certified answers by\n"
       "the system's canonical fingerprint; --share-lemmas makes the\n"
       "members cooperate by exchanging re-checked frame lemmas;\n"
-      "--isolate crash|always forks each solve into a sandboxed worker\n"
+      "--isolate crash forks each solve attempt into a sandboxed worker\n"
       "process (--hard-mem-mb / --hard-cpu-sec set its OS rlimits) so a\n"
-      "crashing engine degrades to a typed unknown (default: none)\n");
+      "crashing engine degrades to a typed unknown and a degraded retry\n"
+      "(default: none)\n");
 }
 
 static int runMain(int Argc, char **Argv) {
@@ -207,9 +208,14 @@ static int runMain(int Argc, char **Argv) {
                    static_cast<unsigned long long>(S.LemmasRejected),
                    static_cast<unsigned long long>(S.CoreShrink));
   };
-  auto PrintError = [](const ErrorInfo &E) {
-    if (E.isError())
-      std::fprintf(stderr, "; unknown: %s\n", E.describe().c_str());
+  // Why an answer is unknown: its typed error, or the refutation that
+  // demoted a --verify'd answer.
+  auto PrintWhyUnknown = [](const char *Tag, const SolveResponse &R) {
+    if (R.Error.isError())
+      std::fprintf(stderr, "%s%s\n", Tag, R.Error.describe().c_str());
+    if (R.VerifyFailed)
+      std::fprintf(stderr, "%sverify-failed: %s\n", Tag,
+                   R.VerifyNote.c_str());
   };
 
   std::unique_ptr<ResultStore> Store;
@@ -242,39 +248,41 @@ static int runMain(int Argc, char **Argv) {
 
     PortfolioResult PR2 =
         racePortfolio(Base, *Configs, Cli.Jobs, nullptr, Store.get());
-    std::printf("%s\n", chcStatusName(PR2.Winner.Status));
-    if (PrintSolution && PR2.Winner.Status == ChcStatus::Sat && PR2.WinnerCtx)
-      std::fputs(
-          Base.Source->solutionText(*PR2.WinnerCtx, PR2.Winner.Invariant)
-              .c_str(),
-          stdout);
+    const SolveResponse *Win = PR2.winner();
+    std::printf("%s\n", chcStatusName(Win ? Win->Status : ChcStatus::Unknown));
+    if (PrintSolution && Win && Win->Status == ChcStatus::Sat && Win->Ctx)
+      std::fputs(Base.Source->solutionText(*Win->Ctx, Win->Invariant).c_str(),
+                 stdout);
     if (Stats) {
       std::fprintf(stderr, "; portfolio winner=%s wall=%.3fs shared=%llu\n",
-                   PR2.WinnerIndex >= 0 ? PR2.WinnerConfig.c_str() : "none",
+                   Win ? PR2.Members[PR2.WinnerIndex].Config.c_str() : "none",
                    PR2.Seconds,
                    static_cast<unsigned long long>(PR2.SharedLemmas));
-      for (const PortfolioMemberReport &M : PR2.Members) {
+      for (size_t I = 0; I < PR2.Members.size(); ++I) {
+        const PortfolioMember &M = PR2.Members[I];
         std::fprintf(stderr,
                      ";   %-24s %-8s%s%s %8.3fs smt=%llu attempts=%u"
                      " pub=%llu imp=%llu rej=%llu\n",
-                     M.Config.c_str(), chcStatusName(M.Status),
-                     M.Winner ? " [winner]" : "",
-                     M.Cancelled ? " [cancelled]" : "", M.Seconds,
-                     static_cast<unsigned long long>(M.Stats.SmtChecks),
-                     M.Attempts,
-                     static_cast<unsigned long long>(M.Stats.LemmasPublished),
-                     static_cast<unsigned long long>(M.Stats.LemmasImported),
-                     static_cast<unsigned long long>(M.Stats.LemmasRejected));
-        if (M.Error.isError())
-          std::fprintf(stderr, ";     error: %s\n",
-                       M.Error.describe().c_str());
+                     M.Config.c_str(), chcStatusName(M.Resp.Status),
+                     static_cast<int>(I) == PR2.WinnerIndex ? " [winner]" : "",
+                     M.Cancelled ? " [cancelled]" : "", M.Resp.Seconds,
+                     static_cast<unsigned long long>(M.Resp.Stats.SmtChecks),
+                     M.Resp.Attempts,
+                     static_cast<unsigned long long>(
+                         M.Resp.Stats.LemmasPublished),
+                     static_cast<unsigned long long>(
+                         M.Resp.Stats.LemmasImported),
+                     static_cast<unsigned long long>(
+                         M.Resp.Stats.LemmasRejected));
+        PrintWhyUnknown(";     error: ", M.Resp);
       }
-      PrintStats(" merged", PR2.Winner.Depth, PR2.Seconds, PR2.MergedStats);
+      PrintStats(" merged", Win ? Win->Depth : 0, PR2.Seconds,
+                 PR2.MergedStats);
     }
-    if (PR2.WinnerIndex < 0)
-      for (const PortfolioMemberReport &M : PR2.Members)
-        PrintError(M.Error);
-    return PR2.Winner.Status == ChcStatus::Unknown ? 1 : 0;
+    if (!Win)
+      for (const PortfolioMember &M : PR2.Members)
+        PrintWhyUnknown("; unknown: ", M.Resp);
+    return Win ? 0 : 1;
   }
 
   // Single configuration: one unified path for plain solves, retry-ladder
@@ -290,7 +298,7 @@ static int runMain(int Argc, char **Argv) {
                    Resp.CacheVerified ? 1 : 0);
     PrintStats("", Resp.Depth, Resp.Seconds, Resp.Stats);
   }
-  PrintError(Resp.Error);
+  PrintWhyUnknown("; unknown: ", Resp);
   return Resp.Status == ChcStatus::Unknown ? 1 : 0;
 }
 

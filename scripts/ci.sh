@@ -53,6 +53,11 @@
 # armed — run twice on fresh stores, byte-compared, and checked against
 # the offline verdicts for flips (degrading to unknown is allowed,
 # flipping a definitive answer is not).
+# The perfbench leg builds the end-to-end benchmark (perfbench/, its own
+# Release copy of the library in .bench_build/perfbench) and runs its unit
+# tests, so a runtime API change that breaks the benchmark programs fails
+# here; the traced program's link checks the signatures of the entry points
+# it interposes.
 # Seed and instance count are fixed so CI failures replay locally with
 # exactly one command (printed on failure).
 set -eu
@@ -325,6 +330,16 @@ echo "== robustness benchmark: isolation overhead + chaos availability =="
 # flips, and a restart scan that quarantines every torn store write.
 # Writes BENCH_robustness.json at the repo root.
 "$BUILD"/bench/serve_crash --json BENCH_robustness.json
+
+if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then
+  echo "== perfbench: benchmark programs build and self-test =="
+  # --selftest configures .bench_build/perfbench, builds and runs the
+  # benchmark's gtests; then both benchmark programs are built, the traced
+  # one through its static_assert-pinned, --wrap-interposed entry points.
+  python3 perfbench/run.py --selftest
+  cmake --build .bench_build/perfbench -j "$(nproc)" \
+    --target perfbench perfbench_traced
+fi
 
 if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then
   echo "== tsan: lemma-bus stress under ThreadSanitizer =="

@@ -40,6 +40,8 @@ expect_error bad-portfolio      2 "$MUCYC" --portfolio "Ret(T,MBP(1)),Nope" \
 expect_error bad-isolate        2 "$MUCYC" --isolate sometimes \
   "$CORPUS/ok-divisible.smt2"
 expect_error isolate-no-value   2 "$MUCYC" --isolate
+expect_error isolate-always     2 "$MUCYC" --isolate always \
+  "$CORPUS/ok-divisible.smt2"
 
 # An isolated solve of a good file still exits 0 through the worker tier.
 "$MUCYC" --isolate crash "$CORPUS/ok-divisible.smt2" >/dev/null 2>&1

@@ -53,16 +53,6 @@ mucyc::parseConfigList(const std::string &List) {
 }
 
 PortfolioResult
-mucyc::racePortfolio(const std::function<NormalizedChc(TermContext &)> &Build,
-                     const std::vector<SolverOptions> &Configs, unsigned Jobs,
-                     uint64_t TimeoutMs,
-                     const std::shared_ptr<CancelToken> &Cancel) {
-  SolveRequest Base = SolveRequest::fromBuilder(Build, SolverOptions());
-  Base.DeadlineMs = TimeoutMs;
-  return racePortfolio(Base, Configs, Jobs, Cancel, nullptr);
-}
-
-PortfolioResult
 mucyc::racePortfolio(const SolveRequest &Base,
                      const std::vector<SolverOptions> &Configs, unsigned Jobs,
                      const std::shared_ptr<CancelToken> &Cancel,
@@ -85,16 +75,6 @@ mucyc::racePortfolio(const SolveRequest &Base,
   // takes the race; everyone else is cancelled and reports Cancelled when
   // it lost its own answer to the abort.
   std::mutex Mu;
-  struct MemberState {
-    std::shared_ptr<TermContext> Ctx;
-    SolverResult Res;
-    /// Token state observed when the member's solve returned — a later
-    /// post-join check would blame cancellation for self-inflicted
-    /// timeouts.
-    bool SawCancel = false;
-    unsigned Attempts = 1;
-  };
-  std::vector<MemberState> States(K);
 
   // Cooperative mode: one lemma bus for the race, one port per member.
   // The bus outlives the pool block below (members hold raw port pointers
@@ -112,7 +92,7 @@ mucyc::racePortfolio(const SolveRequest &Base,
     ThreadPool Pool(Workers);
     for (size_t I = 0; I < K; ++I) {
       Pool.post([&, I] {
-        MemberState &St = States[I];
+        PortfolioMember &M = R.Members[I];
         // solveRequest absorbs crashing members (typed errors and stray
         // exceptions become ErrorInfo on the response) and runs the
         // degraded-retry ladder when the config asks for it — a loser can
@@ -123,20 +103,13 @@ mucyc::racePortfolio(const SolveRequest &Base,
         MR.KeepContext = true;
         if (MR.Opts.ShareLemmas)
           MR.Opts.Share = Exchange.port(I);
-        SolveResponse Resp = solveRequest(MR, Store, MemberToks[I]->flag());
-        St.Ctx = Resp.Ctx;
-        St.Res.Status = Resp.Status;
-        St.Res.Invariant = Resp.Invariant;
-        St.Res.CexPiece = Resp.CexPiece;
-        St.Res.Depth = Resp.Depth;
-        St.Res.Stats = Resp.Stats;
-        St.Res.Seconds = Resp.Seconds;
-        St.Res.VerifyFailed = Resp.VerifyFailed;
-        St.Res.VerifyNote = std::move(Resp.VerifyNote);
-        St.Res.Error = std::move(Resp.Error);
-        St.Attempts = Resp.Attempts;
-        St.SawCancel = MemberToks[I]->cancelled();
-        if (St.Res.Status == ChcStatus::Unknown)
+        M.Resp = solveRequest(MR, Store, MemberToks[I]->flag());
+        // The token state when the member's solve returned — a later
+        // post-join check would blame cancellation for self-inflicted
+        // timeouts.
+        M.Cancelled = M.Resp.Status == ChcStatus::Unknown &&
+                      MemberToks[I]->cancelled();
+        if (M.Resp.Status == ChcStatus::Unknown)
           return;
         std::lock_guard<std::mutex> Lock(Mu);
         if (R.WinnerIndex >= 0)
@@ -150,22 +123,15 @@ mucyc::racePortfolio(const SolveRequest &Base,
   } // Joins the pool: every member has finished or wound down.
 
   for (size_t I = 0; I < K; ++I) {
-    PortfolioMemberReport &M = R.Members[I];
+    PortfolioMember &M = R.Members[I];
     M.Config = Configs[I].name();
-    M.Status = States[I].Res.Status;
-    M.Winner = static_cast<int>(I) == R.WinnerIndex;
-    M.Cancelled = M.Status == ChcStatus::Unknown && States[I].SawCancel;
-    M.Seconds = States[I].Res.Seconds;
-    M.Depth = States[I].Res.Depth;
-    M.Stats = States[I].Res.Stats;
-    M.Error = States[I].Res.Error;
-    M.Attempts = States[I].Attempts;
-    R.MergedStats.merge(M.Stats);
-  }
-  if (R.WinnerIndex >= 0) {
-    R.Winner = States[R.WinnerIndex].Res;
-    R.WinnerConfig = R.Members[R.WinnerIndex].Config;
-    R.WinnerCtx = States[R.WinnerIndex].Ctx;
+    R.MergedStats.merge(M.Resp.Stats);
+    if (static_cast<int>(I) != R.WinnerIndex) {
+      // Only the winner's terms are needed after the race.
+      M.Resp.Ctx.reset();
+      M.Resp.Invariant = TermRef();
+      M.Resp.CexPiece = TermRef();
+    }
   }
   R.SharedLemmas = Exchange.size();
   R.Seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -

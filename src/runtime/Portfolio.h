@@ -12,10 +12,9 @@
 /// check). This is how production CHC/IC3 stacks turn a configuration zoo
 /// into one robust solver: complementary engines cover each other's
 /// divergences, and the cost of the losers is bounded by the winner's
-/// runtime. Every member solves in a private TermContext (hash consing is
-/// not thread-safe), built by the caller-supplied builder; the winning
-/// member's context is kept alive in the result so its invariant /
-/// counterexample terms stay valid.
+/// runtime. Every member is one SolveRequest in a private TermContext
+/// (hash consing is not thread-safe); the winning member's response keeps
+/// its context alive so its invariant / counterexample terms stay valid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,51 +25,45 @@
 #include "runtime/Request.h"
 #include "solver/ChcSolve.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace mucyc {
 
-/// Per-member report of one race.
-struct PortfolioMemberReport {
-  std::string Config;          ///< Paper-style name.
-  ChcStatus Status = ChcStatus::Unknown;
-  bool Winner = false;
-  bool Cancelled = false;      ///< Stopped because another member won.
-  double Seconds = 0;
-  int Depth = 0;
-  SolveStats Stats;
-  /// Breadcrumb when the member ended without an answer: budget trip,
-  /// crash converted to InvariantViolation, injected fault, timeout. A
-  /// member that dies this way loses the race but never takes it down.
-  ErrorInfo Error;
-  /// Attempts the member's recovery ladder executed (1 = no retry).
-  unsigned Attempts = 1;
+/// One member of a race: its response, plus what a response cannot say.
+struct PortfolioMember {
+  std::string Config;     ///< Paper-style name.
+  bool Cancelled = false; ///< Stopped because another member won.
+  /// The member's own answer, breadcrumb and attempts: a member that dies
+  /// (budget trip, crash converted to InvariantViolation, injected fault,
+  /// timeout) loses the race but never takes it down. Only the winner
+  /// keeps its TermContext, so its Invariant/CexPiece stay usable after the
+  /// race.
+  SolveResponse Resp;
 };
 
 struct PortfolioResult {
-  /// The winning answer (Status == Unknown when no member concluded).
-  /// Invariant/CexPiece live in *WinnerCtx.
-  SolverResult Winner;
-  std::string WinnerConfig;
+  std::vector<PortfolioMember> Members; ///< One per config, in order.
   int WinnerIndex = -1; ///< Index into the configs vector, -1 if none.
-  std::shared_ptr<TermContext> WinnerCtx;
-  std::vector<PortfolioMemberReport> Members; ///< One per config, in order.
   SolveStats MergedStats; ///< Work done by ALL members (winners + losers).
   double Seconds = 0;     ///< Wall clock for the whole race.
   /// Distinct lemmas that crossed the exchange bus (0 when no member ran
   /// with ShareLemmas).
   uint64_t SharedLemmas = 0;
+
+  /// The winning member's response; null when no member concluded.
+  const SolveResponse *winner() const {
+    return WinnerIndex < 0 ? nullptr : &Members[WinnerIndex].Resp;
+  }
 };
 
 /// Races \p Configs over the system of \p Base (its Source/Build, called
 /// once per member on its own context; Base.Opts is ignored in favor of
 /// each member's config, Base.DeadlineMs is the per-member deadline).
-/// Members run through solveRequest(), so each is behind the recovery
-/// ladder and, when \p Store is supplied, probes the result cache — a
-/// cached certificate wins the race instantly. \p Jobs bounds concurrency
+/// Members run through solveRequest(), so each is behind the retry ladder
+/// and, when \p Store is supplied, probes the result cache — a cached
+/// certificate wins the race instantly. \p Jobs bounds concurrency
 /// (0 = one thread per member, oversubscribing cores if needed — a race
 /// only works when every member runs). Each member's VerifyResult is
 /// honored, so a race of verifying configs only commits to checked
@@ -80,14 +73,6 @@ racePortfolio(const SolveRequest &Base,
               const std::vector<SolverOptions> &Configs, unsigned Jobs,
               const std::shared_ptr<CancelToken> &Cancel = nullptr,
               ResultStore *Store = nullptr);
-
-/// Deprecated shim over the SolveRequest entry: races over a bare builder
-/// with a per-member \p TimeoutMs deadline.
-PortfolioResult
-racePortfolio(const std::function<NormalizedChc(TermContext &)> &Build,
-              const std::vector<SolverOptions> &Configs, unsigned Jobs,
-              uint64_t TimeoutMs,
-              const std::shared_ptr<CancelToken> &Cancel = nullptr);
 
 /// Splits a comma-separated configuration list, respecting parentheses:
 /// "Ret(T,MBP(1)),SpacerTS" -> {"Ret(T,MBP(1))", "SpacerTS"}.

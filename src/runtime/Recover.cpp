@@ -6,9 +6,6 @@
 
 #include "runtime/Recover.h"
 
-#include <chrono>
-#include <thread>
-
 using namespace mucyc;
 
 SolverOptions mucyc::degradeOptions(const SolverOptions &Base,
@@ -52,80 +49,54 @@ uint64_t mucyc::retryBackoffMs(uint64_t Seed, unsigned Attempt) {
   return std::min<uint64_t>(100, Base + mixSeed(Seed, Attempt) % (Base + 1));
 }
 
-RecoveryOutcome mucyc::solveWithRecovery(
-    const std::function<NormalizedChc(TermContext &)> &Build,
-    const SolverOptions &Opts, uint64_t DeadlineMs,
-    const std::atomic<bool> *Cancel) {
-  auto Start = std::chrono::steady_clock::now();
-  auto ElapsedMs = [&] {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-  };
-
-  RecoveryOutcome Out;
-  SolveStats Accum;
-  for (unsigned Attempt = 0;; ++Attempt) {
-    SolverOptions O = degradeOptions(Opts, Attempt);
-    O.CancelFlag = Cancel;
-    // Retries consume the remainder of the same deadline.
-    if (DeadlineMs) {
-      uint64_t Spent = ElapsedMs();
-      if (Spent >= DeadlineMs) {
-        Out.Res = SolverResult();
-        Out.Res.Status = ChcStatus::Unknown;
-        Out.Res.Error =
-            ErrorInfo{ErrorCode::Timeout, "job deadline expired before "
-                                          "attempt " +
-                                              std::to_string(Attempt + 1)};
-        break;
-      }
-      O.TimeoutMs = DeadlineMs - Spent;
-    }
-    // Per-attempt fault stream: with a shared injector (Opts.Faults) the
-    // counters are monotone across attempts, so a tripped fault is
-    // transient; with only a chaos seed, salt it per attempt so the
-    // degraded run is not replaying the exact same trip points.
-    if (!O.Faults && O.ChaosSeed)
-      O.ChaosSeed = mixSeed(O.ChaosSeed, Attempt);
-
-    Out.Ctx = std::make_shared<TermContext>();
-    Out.Attempts = Attempt + 1;
-    Out.Degraded = Attempt > 0;
-    try {
-      NormalizedChc N = Build(*Out.Ctx);
-      ChcSolver S(*Out.Ctx, N, O);
-      Out.Res = S.solve();
-    } catch (const MucycError &E) {
-      // Build-phase trips (the solve boundary catches its own): surface as
-      // an errored Unknown so the ladder can decide on a retry.
-      Out.Res = SolverResult();
-      Out.Res.Status = ChcStatus::Unknown;
-      Out.Res.Error = E.info();
-    } catch (const std::exception &E) {
-      // A non-taxonomy escape is an internal bug, but one job must never
-      // take down a batch: record it as an invariant violation.
-      Out.Res = SolverResult();
-      Out.Res.Status = ChcStatus::Unknown;
-      Out.Res.Error = ErrorInfo{ErrorCode::InvariantViolation,
-                                std::string("uncaught exception: ") +
-                                    E.what()};
-    }
-    Accum.merge(Out.Res.Stats);
-
-    if (!errorRecoverable(Out.Res.Error.Code))
-      break;
-    if (Attempt >= Opts.MaxRetries)
-      break;
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        retryBackoffMs(Opts.ChaosSeed ? Opts.ChaosSeed : 0x6d75637963ull,
-                       Attempt + 1)));
+SolveResponse mucyc::solveAttempt(const SolveRequest &Req,
+                                  const SolverOptions &O,
+                                  ResultStore::Entry *Cert) {
+  SolveResponse R;
+  R.Ctx = std::make_shared<TermContext>();
+  NormalizedChc N;
+  SolverResult Res;
+  try {
+    N = Req.Build ? Req.Build(*R.Ctx) : Req.Source->build(*R.Ctx);
+    Res = ChcSolver(*R.Ctx, N, O).solve();
+  } catch (const MucycError &E) {
+    // Build-phase trips (the solve boundary catches its own): surface as
+    // an errored Unknown so the ladder can decide on a retry.
+    Res = SolverResult();
+    Res.Error = E.info();
+  } catch (const std::exception &E) {
+    // A non-taxonomy escape is an internal bug, but one job must never
+    // take down a batch: record it as an invariant violation.
+    Res = SolverResult();
+    Res.Error = ErrorInfo{ErrorCode::InvariantViolation,
+                          std::string("uncaught exception: ") + E.what()};
   }
-  Accum.Retries = Out.Attempts - 1;
-  Accum.Degradations = Out.Attempts - 1;
-  Out.Res.Stats = Accum;
-  return Out;
+  R.Status = Res.Status;
+  R.Depth = Res.Depth;
+  R.Stats = Res.Stats;
+  R.VerifyFailed = Res.VerifyFailed;
+  R.VerifyNote = std::move(Res.VerifyNote);
+  R.Error = std::move(Res.Error);
+  R.Invariant = Res.Invariant;
+  R.CexPiece = Res.CexPiece;
+
+  TermRef C = R.Status == ChcStatus::Sat     ? R.Invariant
+              : R.Status == ChcStatus::Unsat ? R.CexPiece
+                                             : TermRef();
+  if (Cert && C.isValid()) {
+    try {
+      Cert->Status = R.Status;
+      Cert->Depth = R.Depth;
+      Cert->Config = O.name();
+      for (VarId V : N.Z)
+        Cert->ZSorts.push_back(R.Ctx->varInfo(V).S);
+      Cert->Cert = ResultStore::serializeCert(*R.Ctx, N, C);
+    } catch (const std::exception &) {
+      Cert->Cert.clear(); // Unserializable: the answer itself still stands.
+    }
+  }
+  if (Req.WantSolution && R.Status == ChcStatus::Sat && Req.Source &&
+      C.isValid())
+    R.SolutionText = Req.Source->solutionText(*R.Ctx, C);
+  return R;
 }

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scheduler-level recovery ladder: when a solve attempt fails with a
-/// *recoverable* error (memory/step/depth budget trip or an invariant
-/// violation — see errorRecoverable()), the job is re-run in a fresh
-/// TermContext under a degraded configuration, up to
-/// SolverOptions::MaxRetries extra attempts:
+/// The building blocks of the retry ladder solveRequest() runs on a cold
+/// solve. When an attempt fails with a *recoverable* error (memory/step/
+/// depth budget trip, an invariant violation or a crashed worker — see
+/// errorRecoverable()), the request is re-run in a fresh TermContext under
+/// a degraded configuration, up to SolverOptions::MaxRetries extra
+/// attempts:
 ///
 ///   attempt 1   the configured options, verbatim;
 ///   attempt 2   same engine, incremental backend off (fresh solvers, no
@@ -19,22 +20,21 @@
 ///               paper's robust default Ret(T,MBP(1)); Ret falls back to
 ///               SpacerTS), still with halved budgets.
 ///
-/// The external resource envelope — deadline and MemLimitMb — is *not*
-/// degraded: retries spend the remainder of the same job deadline, like a
-/// CHC-COMP per-instance cap. Between attempts the worker sleeps a small
-/// deterministic-jittered backoff (seed-derived, wall-clock only — output
-/// bytes never depend on it). Timeouts and external cancellation are final.
-/// Used by the Scheduler, the portfolio driver, and `mucyc` itself.
+/// Each rung is one solveAttempt(), run inline or, under crash isolation,
+/// in its own forked worker (runtime/Worker.h), whose child runs the same
+/// solveAttempt(). The external resource envelope — deadline and
+/// MemLimitMb — is *not* degraded: retries spend the remainder of the same
+/// request deadline, like a CHC-COMP per-instance cap. Between attempts the
+/// ladder sleeps a small deterministic-jittered backoff (seed-derived,
+/// wall-clock only — output bytes never depend on it). Timeouts and
+/// external cancellation are final.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MUCYC_RUNTIME_RECOVER_H
 #define MUCYC_RUNTIME_RECOVER_H
 
-#include "solver/ChcSolve.h"
-
-#include <functional>
-#include <memory>
+#include "runtime/Request.h"
 
 namespace mucyc {
 
@@ -48,28 +48,16 @@ SolverOptions degradeOptions(const SolverOptions &Base, unsigned Attempt);
 /// bounded well under a second so retries cannot dominate a deadline.
 uint64_t retryBackoffMs(uint64_t Seed, unsigned Attempt);
 
-/// What solveWithRecovery ran and concluded.
-struct RecoveryOutcome {
-  /// Final attempt's result; Stats are accumulated over ALL attempts and
-  /// carry Retries/Degradations. Error is the final attempt's breadcrumb
-  /// (None on success).
-  SolverResult Res;
-  unsigned Attempts = 1;   ///< Total attempts executed (1 = no retry).
-  bool Degraded = false;   ///< The final attempt ran a degraded config.
-  /// Context of the final attempt; Res.Invariant/CexPiece live here. Keep
-  /// it alive as long as those terms are used.
-  std::shared_ptr<TermContext> Ctx;
-};
-
-/// Runs \p Build + solve under \p Opts with the recovery ladder above.
-/// \p DeadlineMs (0 = none) caps the whole ladder — all attempts plus
-/// backoffs — measured from entry; an expired deadline reports Timeout
-/// without starting another attempt. \p Cancel (optional) is polled
-/// between attempts and plumbed into each attempt as the cancel flag.
-RecoveryOutcome
-solveWithRecovery(const std::function<NormalizedChc(TermContext &)> &Build,
-                  const SolverOptions &Opts, uint64_t DeadlineMs,
-                  const std::atomic<bool> *Cancel);
+/// One rung of the ladder, in this process: builds \p Req's system into a
+/// fresh TermContext and solves it under \p O exactly as given (deadline,
+/// degradation and seed salting are the ladder's business). Never throws:
+/// a typed error or a stray exception becomes an Unknown with a
+/// breadcrumb. The response keeps its context and certificate terms, and
+/// carries the lifted solution when \p Req asks for one. When \p Cert is
+/// non-null and the answer is definitive, \p Cert receives the store entry
+/// of its certificate (Cert->Cert stays empty if it cannot be rendered).
+SolveResponse solveAttempt(const SolveRequest &Req, const SolverOptions &O,
+                           ResultStore::Entry *Cert);
 
 } // namespace mucyc
 

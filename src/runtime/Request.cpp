@@ -16,6 +16,7 @@
 #include <chrono>
 #include <optional>
 #include <sstream>
+#include <thread>
 
 using namespace mucyc;
 
@@ -78,60 +79,15 @@ bool verifyCachedCert(TermContext &Ctx, const NormalizedChc &N,
   return verifyCexPiece(Ctx, N, Cert, E.Depth + 2);
 }
 
-/// Parent-side crash ladder over forked workers: a worker that dies
-/// abnormally (WorkerCrashed*, all recoverable) is respawned with a
-/// degraded configuration, mirroring the in-process ladder; the child
-/// still runs the in-process ladder for typed errors, so the two compose.
-/// Cancellation and an expired deadline end the ladder, like in-process.
-struct WorkerLadderResult {
-  WorkerOutcome WO;           ///< Final attempt.
-  unsigned TotalAttempts = 0; ///< Engine attempts across all workers.
-  SolveStats Accum;           ///< Merged over all workers.
-};
+bool definitive(ChcStatus S) {
+  return S == ChcStatus::Sat || S == ChcStatus::Unsat;
+}
 
-WorkerLadderResult runWorkerLadder(const SolveRequest &Req,
-                                   const std::string &StoreDir,
-                                   const std::atomic<bool> *Cancel) {
-  WorkerLadderResult L;
-  auto Start = std::chrono::steady_clock::now();
-  auto RemainingMs = [&]() -> uint64_t { // Req.DeadlineMs = 0: no deadline.
-    if (!Req.DeadlineMs)
-      return 0;
-    uint64_t Spent = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-    return Spent >= Req.DeadlineMs ? 1 : Req.DeadlineMs - Spent;
-  };
-  for (unsigned CrashAttempt = 0;; ++CrashAttempt) {
-    SolveRequest Ship = Req;
-    Ship.Opts = degradeOptions(Req.Opts, CrashAttempt);
-    Ship.Opts.Isolate = IsolateMode::None; // Children never re-fork.
-    // Typed-error retries run inside the child with whatever ladder budget
-    // this rung has left.
-    Ship.Opts.MaxRetries = Req.Opts.MaxRetries > CrashAttempt
-                               ? Req.Opts.MaxRetries - CrashAttempt
-                               : 0;
-    Ship.DeadlineMs = RemainingMs();
-    L.WO = runWorkerAttempt(Ship, Ship.DeadlineMs, Cancel, StoreDir,
-                            CrashAttempt == 0 ? Req.TestCrash : "");
-    // A crashed worker counts one engine attempt (its progress is lost);
-    // a live reply reports its own count — 0 for a store-served answer.
-    L.TotalAttempts += L.WO.Crashed ? 1 : L.WO.Resp.Attempts;
-    L.Accum.merge(L.WO.Resp.Stats);
-    if (!L.WO.Crashed)
-      break;
-    if (CrashAttempt >= Req.Opts.MaxRetries)
-      break;
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
-      break;
-    if (Req.DeadlineMs && RemainingMs() <= 1)
-      break;
-    ++L.Accum.Degradations;
-  }
-  if (L.TotalAttempts)
-    L.Accum.Retries = L.TotalAttempts - 1;
-  return L;
+uint64_t millisSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
 }
 
 } // namespace
@@ -158,37 +114,20 @@ SolveResponse mucyc::solveRequest(const SolveRequest &Req, ResultStore *Store,
     return Resp;
   }
 
-  // --- Worker-process isolation, Always mode: the entire request —
-  // store probe included — runs in a forked child behind the parent-side
-  // crash ladder; the child opens a private disk-tier store on our
-  // directory. Only textual sources cross the process boundary.
-  bool Isolated = Req.Opts.Isolate != IsolateMode::None && Req.Source &&
-                  !inWorkerChild();
-  if (Isolated && Req.Opts.Isolate == IsolateMode::Always) {
-    WorkerLadderResult L = runWorkerLadder(
-        Req, Store && !Req.NoStore ? Store->dir() : "", Cancel);
-    Resp = std::move(L.WO.Resp);
-    Resp.Tags = Req.Tags;
-    Resp.Stats = L.Accum;
-    Resp.Attempts = L.TotalAttempts;
-    Resp.Seconds = Elapsed();
-    return Resp; // Terms live and die in the child; Ctx stays null.
-  }
-
   // --- Warm path: fingerprint the submission and probe the store. A probe
   // failure of any kind (parse error, sort mismatch, corrupt certificate,
   // failed re-verification) drops through to the cold path below; a parse
   // error will then resurface there with its proper diagnostic. The probe
-  // context is kept at function scope: in Crash isolation mode, admission
-  // re-verifies the worker's certificate in it after the cold run.
+  // context is kept at function scope: admission checks the cold answer's
+  // certificate in it.
   std::shared_ptr<TermContext> Probe;
   std::optional<NormalizedChc> ProbeSys;
   if (Store && !Req.NoStore) {
     Probe = std::make_shared<TermContext>();
     try {
       NormalizedChc N = Build(*Probe);
-      ProbeSys = N;
       Resp.Fingerprint = fingerprintNormalized(*Probe, N).hex();
+      ProbeSys = N;
       CacheSource Src = CacheSource::None;
       if (auto E = Store->lookup(Resp.Fingerprint, &Src)) {
         bool SortsOk = E->ZSorts.size() == N.Z.size();
@@ -233,115 +172,101 @@ SolveResponse mucyc::solveRequest(const SolveRequest &Req, ResultStore *Store,
     }
   }
 
-  // --- Crash isolation: the cold run happens in a forked worker behind the
-  // parent-side crash ladder. The parent keeps the store probe above and
-  // the admission here: the worker ships its certificate back as text, and
-  // the parent re-parses and re-verifies it in the probe context before
-  // trusting it — a corrupted or compromised child cannot poison the store.
-  if (Isolated) {
-    WorkerLadderResult L = runWorkerLadder(Req, "", Cancel);
-    std::string Fp = std::move(Resp.Fingerprint);
-    Resp = std::move(L.WO.Resp);
-    Resp.Tags = Req.Tags;
-    Resp.Fingerprint = std::move(Fp);
-    Resp.Stats = L.Accum;
-    Resp.Attempts = L.TotalAttempts;
-    if (Probe && ProbeSys && !L.WO.Cert.empty() && !Resp.VerifyFailed &&
-        (Resp.Status == ChcStatus::Sat || Resp.Status == ChcStatus::Unsat)) {
-      try {
-        ResultStore::Entry E;
-        E.Status = Resp.Status;
-        E.Depth = Resp.Depth;
-        E.Config = L.WO.ConfigName;
-        for (VarId V : ProbeSys->Z)
-          E.ZSorts.push_back(Probe->varInfo(V).S);
-        E.Cert = L.WO.Cert;
-        TermRef Cert =
-            ResultStore::parseCert(*Probe, *ProbeSys, E.Cert, nullptr);
-        if (Cert.isValid() && verifyCachedCert(*Probe, *ProbeSys, E, Cert)) {
-          if (Store && !Req.NoStore && !Resp.Fingerprint.empty()) {
-            E.Verified = true;
-            Store->insert(Resp.Fingerprint, E);
-          }
-          if (Resp.Status == ChcStatus::Sat)
-            Resp.Invariant = Cert;
-          else
-            Resp.CexPiece = Cert;
-          if (Req.KeepContext)
-            Resp.Ctx = Probe;
-        }
-      } catch (const std::exception &) {
-        // Admission is best-effort; the worker's verdict still stands.
+  // --- Cold path: the retry ladder. Every rung is one attempt under the
+  // next degradeOptions() configuration in a fresh context, run inline or —
+  // under crash isolation, for a textual source, outside a worker child —
+  // in a forked worker whose child runs the same solveAttempt(). The
+  // deadline covers all rungs and backoffs; MaxRetries = 0 runs one rung.
+  bool Fork = Req.Opts.Isolate != IsolateMode::None && Req.Source &&
+              !inWorkerChild();
+  auto LadderStart = std::chrono::steady_clock::now();
+  SolveResponse Cold;
+  ResultStore::Entry Cert;
+  SolveStats Accum;
+  unsigned Attempts = 1;
+  for (unsigned Attempt = 0;; ++Attempt) {
+    SolverOptions O = degradeOptions(Req.Opts, Attempt);
+    O.CancelFlag = Cancel;
+    if (Req.DeadlineMs) {
+      uint64_t Spent = millisSince(LadderStart);
+      if (Spent >= Req.DeadlineMs) {
+        Cold = SolveResponse();
+        Cold.Error = ErrorInfo{ErrorCode::Timeout,
+                               "job deadline expired before attempt " +
+                                   std::to_string(Attempt + 1)};
+        break;
       }
+      O.TimeoutMs = Req.DeadlineMs - Spent;
     }
-    Resp.Seconds = Elapsed();
-    return Resp;
+    // Per-attempt fault stream: with a shared injector (Opts.Faults) the
+    // counters are monotone across attempts, so a tripped fault is
+    // transient; with only a chaos seed, salt it per attempt so the
+    // degraded run is not replaying the exact same trip points.
+    if (!O.Faults && O.ChaosSeed)
+      O.ChaosSeed = mixSeed(O.ChaosSeed, Attempt);
+    Attempts = Attempt + 1;
+    if (Fork) {
+      SolveRequest Rung = Req;
+      Rung.Opts = O;
+      Cold = runWorkerAttempt(Rung, Req.DeadlineMs ? O.TimeoutMs : 0, Cancel,
+                              Attempt == 0 ? Req.TestCrash : "", &Cert);
+    } else {
+      Cold = solveAttempt(Req, O, ProbeSys ? &Cert : nullptr);
+    }
+    Accum.merge(Cold.Stats);
+
+    if (!errorRecoverable(Cold.Error.Code))
+      break;
+    if (Attempt >= Req.Opts.MaxRetries)
+      break;
+    if (Cancel && Cancel->load(std::memory_order_relaxed))
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(retryBackoffMs(
+        Req.Opts.ChaosSeed ? Req.Opts.ChaosSeed : 0x6d75637963ull,
+        Attempt + 1)));
   }
+  std::string Fp = std::move(Resp.Fingerprint);
+  Resp = std::move(Cold);
+  Resp.Tags = Req.Tags;
+  Resp.Fingerprint = std::move(Fp);
+  Resp.Attempts = Attempts;
+  Accum.Retries = Attempts - 1;
+  Accum.Degradations = Attempts - 1;
+  Resp.Stats = Accum;
 
-  // --- Cold path: the recovery ladder. MaxRetries = 0 runs one attempt.
-  // The wrapper snapshots the final attempt's normalized system: admission
-  // needs the exact Z tuple the certificate is over, and re-running the
-  // builder would mint fresh variables (mkFreshVar) even in the same
-  // context. solveWithRecovery runs synchronously, so capturing locals by
-  // reference is safe.
-  TermContext *LastCtx = nullptr;
-  NormalizedChc LastSys;
-  auto WrappedBuild = [&](TermContext &C) {
-    NormalizedChc N = Build(C);
-    LastCtx = &C;
-    LastSys = N;
-    return N;
-  };
-  RecoveryOutcome RO =
-      solveWithRecovery(WrappedBuild, Req.Opts, Req.DeadlineMs, Cancel);
-
-  Resp.Status = RO.Res.Status;
-  Resp.Depth = RO.Res.Depth;
-  Resp.Stats = RO.Res.Stats;
-  Resp.VerifyFailed = RO.Res.VerifyFailed;
-  Resp.VerifyNote = RO.Res.VerifyNote;
-  Resp.Error = RO.Res.Error;
-  Resp.Attempts = RO.Attempts;
-  Resp.Invariant = RO.Res.Invariant;
-  Resp.CexPiece = RO.Res.CexPiece;
-
-  // --- Admission: store definitive, certificate-bearing answers. When the
-  // run already self-verified (VerifyResult, clean), skip the duplicate
-  // check; otherwise verify now — the store must never hold an unchecked
-  // certificate marked Verified.
-  if (Store && !Req.NoStore && !Resp.Fingerprint.empty() &&
-      !Resp.VerifyFailed && RO.Ctx && LastCtx == RO.Ctx.get() &&
-      (Resp.Status == ChcStatus::Sat || Resp.Status == ChcStatus::Unsat)) {
-    TermRef Cert =
-        Resp.Status == ChcStatus::Sat ? RO.Res.Invariant : RO.Res.CexPiece;
-    if (Cert.isValid()) {
-      try {
-        ResultStore::Entry E;
-        E.Status = Resp.Status;
-        E.Depth = Resp.Depth;
-        E.Config = degradeOptions(Req.Opts, RO.Attempts - 1).name();
-        for (VarId V : LastSys.Z)
-          E.ZSorts.push_back(RO.Ctx->varInfo(V).S);
-        E.Cert = ResultStore::serializeCert(*RO.Ctx, LastSys, Cert);
-        bool Checked = Req.Opts.VerifyResult ||
-                       verifyCachedCert(*RO.Ctx, LastSys, E, Cert);
-        if (Checked) {
-          E.Verified = true;
-          Store->insert(Resp.Fingerprint, std::move(E));
+  // --- Admission: store definitive answers whose certificate has been
+  // checked in this process. An inline rung that ran with VerifyResult is
+  // already checked; any other certificate is re-parsed and re-verified in
+  // the probe context first — a forked rung ships its certificate as text,
+  // and a corrupted or compromised child must not be able to poison the
+  // store.
+  if (ProbeSys && definitive(Resp.Status) && !Cert.Cert.empty()) {
+    try {
+      Cert.ZSorts.clear();
+      for (VarId V : ProbeSys->Z)
+        Cert.ZSorts.push_back(Probe->varInfo(V).S);
+      Cert.Verified = !Fork && Req.Opts.VerifyResult;
+      if (!Cert.Verified) {
+        TermRef C =
+            ResultStore::parseCert(*Probe, *ProbeSys, Cert.Cert, nullptr);
+        Cert.Verified =
+            C.isValid() && verifyCachedCert(*Probe, *ProbeSys, Cert, C);
+        if (Cert.Verified && Fork) {
+          // The child's terms died with it; serve the checked ones.
+          (Resp.Status == ChcStatus::Sat ? Resp.Invariant : Resp.CexPiece) =
+              C;
+          Resp.Ctx = Probe;
         }
-      } catch (const std::exception &) {
-        // Admission is best-effort; the answer itself still stands.
       }
+      if (Cert.Verified)
+        Store->insert(Resp.Fingerprint, std::move(Cert));
+    } catch (const std::exception &) {
+      // Admission is best-effort; the answer itself still stands.
     }
   }
 
-  if (Req.WantSolution && Resp.Status == ChcStatus::Sat && Req.Source &&
-      RO.Ctx && Resp.Invariant.isValid())
-    Resp.SolutionText = Req.Source->solutionText(*RO.Ctx, Resp.Invariant);
-
-  if (Req.KeepContext)
-    Resp.Ctx = RO.Ctx;
-  else {
+  if (!Req.KeepContext) {
+    Resp.Ctx.reset();
     Resp.Invariant = TermRef();
     Resp.CexPiece = TermRef();
   }

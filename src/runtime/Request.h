@@ -8,20 +8,20 @@
 /// The single public job API of the runtime: a SolveRequest (a CHC system —
 /// textual or programmatic — plus SolverOptions, deadline and tags) and the
 /// SolveResponse every execution path produces (verdict, certificate,
-/// typed error, attempts, stats, cache provenance). ChcSolver, the
-/// Scheduler, the portfolio driver, the CLI tools, the bench suite, the
-/// fuzzer and the serve daemon all route through solveRequest(); the four
-/// historical entry shapes (direct ChcSolver::solve, SolveJob batches,
-/// racePortfolio, bare solveWithRecovery) remain as thin shims over it.
+/// typed error, attempts, stats, cache provenance). ChcSolver aside, every
+/// caller — the Scheduler, the portfolio race, the CLI tools, the bench
+/// suite, the fuzzer and the serve daemon — routes through solveRequest().
 ///
-/// Execution: a request is always run behind the PR-4 recovery ladder
-/// (solveWithRecovery) — MaxRetries = 0 degenerates to exactly one attempt
-/// — so a crashing job yields an Unknown response with a typed ErrorInfo,
-/// never an escaped exception. When a ResultStore is supplied, the request
-/// is first fingerprinted (chc/Fingerprint.h) and a cached certificate, if
-/// any, is re-verified against the actual submitted system before being
-/// served; only then does a cold solve run, and definitive answers are
-/// admitted back into the store.
+/// Execution: when a ResultStore is supplied, the request is first
+/// fingerprinted (chc/Fingerprint.h) and a cached certificate, if any, is
+/// re-verified against the actual submitted system before being served.
+/// On a miss, the cold solve runs behind the retry ladder (runtime/
+/// Recover.h) — MaxRetries = 0 degenerates to exactly one attempt — so a
+/// crashing job yields an Unknown response with a typed ErrorInfo, never an
+/// escaped exception. Each rung of the ladder runs inline or, under
+/// IsolateMode::Crash, in a forked worker (runtime/Worker.h). Definitive
+/// answers are admitted back into the store once their certificate has
+/// been checked in this process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,14 +104,9 @@ struct SolveRequest {
 
   SolverOptions Opts;
 
-  /// Per-request deadline in ms (0 = none), measured from execution start;
-  /// covers the whole retry ladder.
+  /// Per-request deadline in ms (0 = none), measured from the start of the
+  /// cold solve; covers the whole retry ladder.
   uint64_t DeadlineMs = 0;
-
-  /// Batch-relative deadline in ms (0 = none), measured from batch entry.
-  /// Interpreted by the Scheduler only (see Scheduler::run); ignored by a
-  /// direct solveRequest() call.
-  uint64_t AbsDeadlineMs = 0;
 
   /// Opaque client tags, echoed on the response (service traceability).
   std::string Tags;
@@ -128,9 +123,9 @@ struct SolveRequest {
   bool KeepContext = true;
 
   /// Test-only: make the isolated worker child die this way before solving
-  /// ("segv", "abort", "exit3", "spin", "oom"). Applied to the first worker
-  /// attempt only, so crash-then-recover scenarios are expressible. Empty
-  /// in production; shipped as the `x-crash` wire header.
+  /// ("segv", "abort", "exit3", "spin", "burn", "oom"). Applied to the first
+  /// rung only, so crash-then-recover scenarios are expressible. Empty in
+  /// production; shipped as the `x-crash` wire header.
   std::string TestCrash;
 
   /// Convenience: a request over textual source (SMT-LIB2 HORN or BTOR2,
@@ -165,8 +160,8 @@ struct SolveResponse {
   bool VerifyFailed = false;
   std::string VerifyNote;
   ErrorInfo Error;      ///< Why Unknown is Unknown; None when definitive.
-  /// Recovery-ladder attempts executed; 0 means the answer was served from
-  /// the result store without running an engine.
+  /// Retry-ladder attempts executed, inline or forked; 0 means the answer
+  /// was served from the result store without running an engine.
   unsigned Attempts = 1;
 
   /// Cache provenance: cold / mem-hit / disk-hit, and whether the served
@@ -191,8 +186,8 @@ struct SolveResponse {
 };
 
 /// Executes \p Req: fingerprint + store probe (when \p Store is non-null
-/// and the request allows it), then a cold solve behind the recovery
-/// ladder on a miss, admitting definitive answers back into the store.
+/// and the request allows it), then a cold solve behind the retry ladder
+/// on a miss, admitting definitive answers back into the store.
 /// \p Cancel (optional) is the cooperative cancellation flag, polled by
 /// the engines and between retry attempts. Never throws.
 SolveResponse solveRequest(const SolveRequest &Req, ResultStore *Store,

@@ -8,8 +8,6 @@
 
 #include "runtime/ThreadPool.h"
 
-#include <chrono>
-
 using namespace mucyc;
 
 unsigned Scheduler::workers() const {
@@ -33,14 +31,6 @@ Scheduler::run(const std::vector<SolveRequest> &Batch,
   if (Batch.empty())
     return Out;
 
-  auto BatchStart = std::chrono::steady_clock::now();
-  auto ElapsedMs = [BatchStart] {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - BatchStart)
-            .count());
-  };
-
   // One child token for the whole batch: an external request() stops every
   // member without cancelling unrelated users of the parent. The token is
   // kept alive by this frame across pool teardown.
@@ -52,66 +42,24 @@ Scheduler::run(const std::vector<SolveRequest> &Batch,
     for (size_t I = 0; I < Batch.size(); ++I) {
       const SolveRequest &J = Batch[I];
       SolveResponse *Slot = &Out[I];
-      Pool.post([&J, Slot, &BatchTok, &ElapsedMs, Store] {
+      Pool.post([&J, Slot, &BatchTok, Store] {
         Slot->Tags = J.Tags;
-        // Deterministic short-circuits BEFORE any work: a cancelled batch
-        // or a batch-relative deadline that already passed must not depend
-        // on how fast this worker got here.
+        // Deterministic short-circuit BEFORE any work: a cancelled batch
+        // must not depend on how fast this worker got here.
         if (BatchTok->cancelled()) {
           Slot->Error = ErrorInfo{ErrorCode::Cancelled,
                                   "batch cancelled before the job started"};
           return;
         }
-        SolveRequest R = J;
-        if (R.AbsDeadlineMs) {
-          uint64_t Spent = ElapsedMs();
-          if (Spent >= R.AbsDeadlineMs) {
-            Slot->Error =
-                ErrorInfo{ErrorCode::Timeout,
-                          "batch-relative deadline expired before the job "
-                          "started"};
-            return;
-          }
-          uint64_t Remaining = R.AbsDeadlineMs - Spent;
-          R.DeadlineMs =
-              R.DeadlineMs ? std::min(R.DeadlineMs, Remaining) : Remaining;
-        }
         // Batch responses never pin a TermContext: the contexts (and the
-        // terms in them) die with the job, as the SolveJob path always did.
+        // terms in them) die with the job.
+        SolveRequest R = J;
         R.KeepContext = false;
         *Slot = solveRequest(R, Store, BatchTok->flag());
       });
     }
     // ~ThreadPool drains the queue and joins, so every slot is written
     // before we return.
-  }
-  return Out;
-}
-
-std::vector<SolveJobOutcome>
-Scheduler::run(const std::vector<SolveJob> &Batch,
-               const std::shared_ptr<CancelToken> &Cancel) const {
-  std::vector<SolveRequest> Reqs;
-  Reqs.reserve(Batch.size());
-  for (const SolveJob &J : Batch) {
-    SolveRequest R = SolveRequest::fromBuilder(J.Build, J.Opts);
-    R.DeadlineMs = J.DeadlineMs;
-    R.AbsDeadlineMs = J.AbsDeadlineMs;
-    R.NoStore = true;
-    Reqs.push_back(std::move(R));
-  }
-  std::vector<SolveResponse> Resps = run(Reqs, Cancel, nullptr);
-  std::vector<SolveJobOutcome> Out(Resps.size());
-  for (size_t I = 0; I < Resps.size(); ++I) {
-    SolveResponse &R = Resps[I];
-    Out[I].Status = R.Status;
-    Out[I].Depth = R.Depth;
-    Out[I].Stats = R.Stats;
-    Out[I].Seconds = R.Seconds;
-    Out[I].VerifyFailed = R.VerifyFailed;
-    Out[I].VerifyNote = std::move(R.VerifyNote);
-    Out[I].Error = std::move(R.Error);
-    Out[I].Attempts = R.Attempts;
   }
   return Out;
 }

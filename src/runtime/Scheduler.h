@@ -24,54 +24,11 @@
 #include "solver/ChcSolve.h"
 
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace mucyc {
 
 class ThreadPool;
-
-/// One solve job: a system builder plus the configuration to run it under.
-/// The builder runs on the worker thread against a job-private TermContext.
-struct SolveJob {
-  std::function<NormalizedChc(TermContext &)> Build;
-  SolverOptions Opts;
-  /// Per-job deadline in milliseconds (0 = none), measured from the moment
-  /// the job starts executing, not from submission — matching what a
-  /// sequential sweep charges each instance. With Opts.MaxRetries > 0 the
-  /// deadline covers the whole retry ladder, not each attempt.
-  uint64_t DeadlineMs = 0;
-  /// Batch-relative deadline in milliseconds (0 = none), measured from
-  /// Scheduler::run() entry. A job whose AbsDeadlineMs has already passed
-  /// when a worker picks it up reports Timeout deterministically — its
-  /// Build is never invoked — instead of racing the pickup. A job that
-  /// starts in time gets min(DeadlineMs, remaining) as its budget.
-  uint64_t AbsDeadlineMs = 0;
-};
-
-/// Outcome of one job. Term references inside (invariant / cex piece) are
-/// owned by the job-private context, which is destroyed with the job, so
-/// only the status, depth, stats and timing survive here.
-struct SolveJobOutcome {
-  ChcStatus Status = ChcStatus::Unknown;
-  int Depth = 0;
-  SolveStats Stats;
-  double Seconds = 0;
-  /// Mirror of SolverResult::VerifyFailed/VerifyNote: set when the job ran
-  /// with VerifyResult and its answer was refuted by the independent
-  /// check. Differential harnesses treat this as an engine bug, so it must
-  /// survive the job-private context.
-  bool VerifyFailed = false;
-  std::string VerifyNote;
-  /// Breadcrumb for Unknown outcomes: the final attempt's typed error
-  /// (timeout, budget trip, cancellation, invariant violation, injected
-  /// fault). None for definitive answers.
-  ErrorInfo Error;
-  /// Attempts the recovery ladder executed (1 = no retry; capped at
-  /// Opts.MaxRetries + 1). Stats.Retries/Degradations count the same
-  /// thing mergeable-y.
-  unsigned Attempts = 1;
-};
 
 class Scheduler {
 public:
@@ -96,13 +53,6 @@ public:
   run(const std::vector<SolveRequest> &Batch,
       const std::shared_ptr<CancelToken> &Cancel = nullptr,
       ResultStore *Store = nullptr) const;
-
-  /// Deprecated shim over the SolveRequest entry: runs SolveJob batches
-  /// with identical semantics (including the deterministic pre-check
-  /// diagnostics) and narrows the responses back to SolveJobOutcome.
-  std::vector<SolveJobOutcome>
-  run(const std::vector<SolveJob> &Batch,
-      const std::shared_ptr<CancelToken> &Cancel = nullptr) const;
 
   unsigned workers() const;
 

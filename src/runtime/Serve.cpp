@@ -76,61 +76,15 @@ bool mucyc::parseWireMessage(const std::string &Payload, WireMessage &M,
 }
 
 FrameStatus mucyc::readFrame(int Fd, std::string &Payload, size_t MaxBytes) {
-  unsigned char Hdr[4];
-  size_t Got = 0;
-  while (Got < 4) {
-    ssize_t R = ::read(Fd, Hdr + Got, 4 - Got);
-    if (R == 0)
-      return Got == 0 ? FrameStatus::Eof : FrameStatus::Truncated;
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      return FrameStatus::IoError;
-    }
-    Got += static_cast<size_t>(R);
-  }
-  uint64_t Len = (uint64_t(Hdr[0]) << 24) | (uint64_t(Hdr[1]) << 16) |
-                 (uint64_t(Hdr[2]) << 8) | uint64_t(Hdr[3]);
-  if (Len > MaxBytes) {
-    // Drain the payload so the stream stays framed, then reject it.
-    char Scratch[4096];
-    uint64_t Left = Len;
-    while (Left) {
-      ssize_t R = ::read(Fd, Scratch,
-                         Left < sizeof(Scratch) ? Left : sizeof(Scratch));
-      if (R == 0)
-        return FrameStatus::Truncated;
-      if (R < 0) {
-        if (errno == EINTR)
-          continue;
-        return FrameStatus::IoError;
-      }
-      Left -= static_cast<uint64_t>(R);
-    }
-    return FrameStatus::Oversized;
-  }
-  Payload.resize(Len);
-  size_t Off = 0;
-  while (Off < Len) {
-    ssize_t R = ::read(Fd, Payload.data() + Off, Len - Off);
-    if (R == 0)
-      return FrameStatus::Truncated;
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      return FrameStatus::IoError;
-    }
-    Off += static_cast<size_t>(R);
-  }
-  return FrameStatus::Ok;
+  return readFrameDeadline(Fd, Payload, MaxBytes, 0); // 0: no stall budget.
 }
 
 FrameStatus mucyc::readFrameDeadline(int Fd, std::string &Payload,
                                      size_t MaxBytes, int StallTimeoutMs,
                                      int IdleTimeoutMs) {
-  // Identical framing to readFrame, but every read waits behind poll()
-  // with a budget: the idle budget before the frame's first byte, the
-  // stall budget between bytes mid-frame. Progress resets the clock, so a
+  // Every read waits behind poll() with a budget: the idle budget before
+  // the frame's first byte, the stall budget between bytes mid-frame (0 =
+  // wait forever, which is readFrame). Progress resets the clock, so a
   // slow-but-live writer (even 1 byte at a time) is never cut off.
   bool FirstByte = true;
   // -2 = I/O error, -3 = timed out, otherwise read() semantics.

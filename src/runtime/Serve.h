@@ -78,12 +78,13 @@ enum class FrameStatus {
 /// Reads one length-prefixed frame from \p Fd. An oversized frame is fully
 /// drained (the stream stays framed) but its payload is discarded. Partial
 /// reads and EINTR are handled; the call blocks until a frame completes or
-/// the stream ends.
+/// the stream ends. Same as readFrameDeadline() with no stall budget.
 FrameStatus readFrame(int Fd, std::string &Payload, size_t MaxBytes);
 
-/// readFrame with slow-loris protection: \p StallTimeoutMs bounds how long
-/// the stream may sit byte-silent *mid-frame* (and, when \p IdleTimeoutMs
-/// is nonzero, how long it may idle before the first header byte). A
+/// readFrame with slow-loris protection: \p StallTimeoutMs (0 = no bound)
+/// bounds how long the stream may sit byte-silent *mid-frame* (and, when
+/// \p IdleTimeoutMs is nonzero, how long it may idle before the first
+/// header byte). A
 /// legitimate slow writer that keeps trickling bytes never trips it; a
 /// half-frame left dangling does, as TimedOut.
 FrameStatus readFrameDeadline(int Fd, std::string &Payload, size_t MaxBytes,

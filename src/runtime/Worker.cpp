@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <new>
 #include <sstream>
@@ -100,7 +99,6 @@ bool mucyc::inWorkerChild() {
 //===----------------------------------------------------------------------===
 
 WireMessage mucyc::encodeWorkerRequest(const SolveRequest &Req,
-                                       const std::string &StoreDir,
                                        const std::string &TestCrash) {
   WireMessage M;
   M.Verb = "work";
@@ -114,7 +112,6 @@ WireMessage mucyc::encodeWorkerRequest(const SolveRequest &Req,
   PutU64("max-depth", static_cast<uint64_t>(O.MaxDepth));
   PutU64("max-refine-steps", O.MaxRefineSteps);
   PutU64("mem-limit-mb", O.MemLimitMb);
-  PutU64("max-retries", O.MaxRetries);
   PutU64("chaos-seed", O.ChaosSeed);
   if (O.NoIncremental)
     M.Headers["no-incremental"] = "1";
@@ -122,15 +119,8 @@ WireMessage mucyc::encodeWorkerRequest(const SolveRequest &Req,
     M.Headers["verify"] = "1";
   if (O.QueryCacheCap != 4096)
     M.Headers["query-cache-cap"] = std::to_string(O.QueryCacheCap);
-  PutU64("deadline-ms", Req.DeadlineMs);
   if (Req.WantSolution)
     M.Headers["want-solution"] = "1";
-  if (Req.NoStore)
-    M.Headers["no-store"] = "1";
-  if (!StoreDir.empty()) {
-    M.Headers["mode"] = "full";
-    M.Headers["store-dir"] = StoreDir;
-  }
   if (!TestCrash.empty())
     M.Headers["x-crash"] = TestCrash;
   if (Req.Source) {
@@ -159,13 +149,11 @@ SolveRequest decodeWorkerRequest(const WireMessage &M) {
   O.MaxDepth = static_cast<int>(U64("max-depth"));
   O.MaxRefineSteps = U64("max-refine-steps");
   O.MemLimitMb = U64("mem-limit-mb");
-  O.MaxRetries = static_cast<unsigned>(U64("max-retries"));
   O.ChaosSeed = U64("chaos-seed");
   O.NoIncremental = M.header("no-incremental") == "1";
   O.VerifyResult = M.header("verify") == "1";
   if (!M.header("query-cache-cap").empty())
     O.QueryCacheCap = static_cast<unsigned>(U64("query-cache-cap"));
-  O.Isolate = IsolateMode::None; // Children never fork grandchildren.
 
   InputFormat F = InputFormat::Auto;
   if (M.header("format") == "btor2")
@@ -174,29 +162,34 @@ SolveRequest decodeWorkerRequest(const WireMessage &M) {
     F = InputFormat::SmtLib2;
   SolveRequest Req = SolveRequest::fromText(
       M.Body, std::move(O), M.header("no-preprocess") != "1", F);
-  Req.DeadlineMs = U64("deadline-ms");
   Req.WantSolution = M.header("want-solution") == "1";
-  Req.NoStore = M.header("no-store") == "1";
   return Req;
 }
 
-void putCommonReplyHeaders(WireMessage &R, ChcStatus Status, int Depth,
-                           unsigned Attempts, const SolveStats &Stats,
-                           double Seconds, const ErrorInfo &Error,
-                           bool VerifyFailed, const std::string &VerifyNote) {
-  R.Headers["status"] = chcStatusName(Status);
-  R.Headers["depth"] = std::to_string(Depth);
-  R.Headers["attempts"] = std::to_string(Attempts);
-  R.Headers["stats"] = formatStats(Stats);
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6f", Seconds);
-  R.Headers["seconds"] = Buf;
-  if (Error.isError()) {
-    R.Headers["error-code"] = errorCodeName(Error.Code);
-    R.Headers["error-detail"] = Error.Detail;
+std::string replyFrame(const SolveResponse &Resp,
+                       const ResultStore::Entry &Cert) {
+  WireMessage R;
+  R.Verb = "done";
+  R.Headers["status"] = chcStatusName(Resp.Status);
+  R.Headers["depth"] = std::to_string(Resp.Depth);
+  R.Headers["stats"] = formatStats(Resp.Stats);
+  if (Resp.Error.isError()) {
+    R.Headers["error-code"] = errorCodeName(Resp.Error.Code);
+    R.Headers["error-detail"] = Resp.Error.Detail;
   }
-  if (VerifyFailed)
-    R.Headers["verify-failed"] = VerifyNote.empty() ? "?" : VerifyNote;
+  if (Resp.VerifyFailed)
+    R.Headers["verify-failed"] =
+        Resp.VerifyNote.empty() ? "?" : Resp.VerifyNote;
+  if (!Cert.Cert.empty()) {
+    R.Headers["cert"] = Cert.Cert;
+    std::string ZLine;
+    for (size_t I = 0; I < Cert.ZSorts.size(); ++I)
+      ZLine += std::string(I ? " " : "") + sortName(Cert.ZSorts[I]);
+    R.Headers["zsorts"] = ZLine;
+    R.Headers["config"] = Cert.Config;
+  }
+  R.Body = Resp.SolutionText;
+  return formatWireMessage(R);
 }
 
 } // namespace
@@ -204,14 +197,10 @@ void putCommonReplyHeaders(WireMessage &R, ChcStatus Status, int Depth,
 std::string mucyc::workerChildServe(const std::string &RequestPayload) {
   WireMessage M;
   std::string Err;
-  WireMessage R;
-  R.Verb = "done";
   if (!parseWireMessage(RequestPayload, M, &Err) || M.Verb != "work") {
-    putCommonReplyHeaders(R, ChcStatus::Unknown, 0, 1, SolveStats{}, 0.0,
-                          ErrorInfo{ErrorCode::InputError,
-                                    "bad worker request: " + Err},
-                          false, "");
-    return formatWireMessage(R);
+    SolveResponse Bad;
+    Bad.Error = ErrorInfo{ErrorCode::InputError, "bad worker request: " + Err};
+    return replyFrame(Bad, ResultStore::Entry());
   }
   // The crash directive fires before any solving, and only in a real
   // forked child — an in-process test of this function must survive it.
@@ -219,70 +208,13 @@ std::string mucyc::workerChildServe(const std::string &RequestPayload) {
   if (!XCrash.empty() && inWorkerChild())
     crashNow(XCrash);
 
+  // Exactly one attempt, under the options the parent's ladder chose. The
+  // certificate travels back as text so the *parent* can re-verify and
+  // admit it — the store is never written by code that might be crashing.
   SolveRequest Req = decodeWorkerRequest(M);
-  if (M.header("mode") == "full") {
-    // The whole request runs here, against a child-private store on the
-    // shipped directory (disk tier only; the parent's memory tier cannot
-    // cross the process boundary).
-    std::optional<ResultStore> ChildStore;
-    if (!M.header("store-dir").empty())
-      ChildStore.emplace(M.header("store-dir"));
-    SolveResponse Resp =
-        solveRequest(Req, ChildStore ? &*ChildStore : nullptr, nullptr);
-    putCommonReplyHeaders(R, Resp.Status, Resp.Depth, Resp.Attempts,
-                          Resp.Stats, Resp.Seconds, Resp.Error,
-                          Resp.VerifyFailed, Resp.VerifyNote);
-    R.Headers["cache"] = cacheSourceName(Resp.Cache);
-    R.Headers["cache-verified"] = Resp.CacheVerified ? "1" : "0";
-    if (!Resp.Fingerprint.empty())
-      R.Headers["fingerprint"] = Resp.Fingerprint;
-    R.Body = Resp.SolutionText;
-    return formatWireMessage(R);
-  }
-
-  // Cold mode (Isolate = crash): run just the engine ladder, and ship the
-  // certificate text back so the *parent* can re-verify and admit it —
-  // the store is never written by code that might be crashing.
-  TermContext *LastCtx = nullptr;
-  NormalizedChc LastSys;
-  auto Build = Req.Source->builder();
-  auto WrappedBuild = [&](TermContext &C) {
-    NormalizedChc N = Build(C);
-    LastCtx = &C;
-    LastSys = N;
-    return N;
-  };
-  RecoveryOutcome RO =
-      solveWithRecovery(WrappedBuild, Req.Opts, Req.DeadlineMs, nullptr);
-  putCommonReplyHeaders(R, RO.Res.Status, RO.Res.Depth, RO.Attempts,
-                        RO.Res.Stats, 0.0, RO.Res.Error, RO.Res.VerifyFailed,
-                        RO.Res.VerifyNote);
-  bool Definitive =
-      RO.Res.Status == ChcStatus::Sat || RO.Res.Status == ChcStatus::Unsat;
-  if (Definitive && !RO.Res.VerifyFailed && RO.Ctx &&
-      LastCtx == RO.Ctx.get()) {
-    TermRef Cert = RO.Res.Status == ChcStatus::Sat ? RO.Res.Invariant
-                                                   : RO.Res.CexPiece;
-    if (Cert.isValid()) {
-      try {
-        R.Headers["cert"] =
-            ResultStore::serializeCert(*RO.Ctx, LastSys, Cert);
-        std::string ZLine;
-        for (size_t I = 0; I < LastSys.Z.size(); ++I)
-          ZLine += std::string(I ? " " : "") +
-                   sortName(RO.Ctx->varInfo(LastSys.Z[I]).S);
-        R.Headers["zsorts"] = ZLine;
-        R.Headers["config"] =
-            degradeOptions(Req.Opts, RO.Attempts - 1).name();
-      } catch (const std::exception &) {
-        R.Headers.erase("cert"); // Unserializable: definitive answer stands.
-        R.Headers.erase("zsorts");
-      }
-      if (Req.WantSolution && RO.Res.Status == ChcStatus::Sat)
-        R.Body = Req.Source->solutionText(*RO.Ctx, RO.Res.Invariant);
-    }
-  }
-  return formatWireMessage(R);
+  ResultStore::Entry Cert;
+  SolveResponse Resp = solveAttempt(Req, Req.Opts, &Cert);
+  return replyFrame(Resp, Cert);
 }
 
 //===----------------------------------------------------------------------===
@@ -322,47 +254,37 @@ namespace {
 
 SolveResponse crashedResponse(ErrorCode Code, std::string Detail) {
   SolveResponse Resp;
-  Resp.Status = ChcStatus::Unknown;
   Resp.Error = ErrorInfo{Code, std::move(Detail)};
-  Resp.Attempts = 1;
   return Resp;
 }
 
 } // namespace
 
-WorkerOutcome mucyc::runWorkerAttempt(const SolveRequest &Req,
+SolveResponse mucyc::runWorkerAttempt(const SolveRequest &Req,
                                       uint64_t DeadlineMs,
                                       const std::atomic<bool> *Cancel,
-                                      const std::string &StoreDir,
-                                      const std::string &TestCrash) {
-  WorkerOutcome WO;
+                                      const std::string &TestCrash,
+                                      ResultStore::Entry *Cert) {
   // A worker that dies mid-read must surface as a write error, never a
   // parent-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
 
   int Sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0) {
-    WO.Crashed = true;
-    WO.Resp = crashedResponse(ErrorCode::WorkerCrashedSignal,
-                              "socketpair failed for worker");
-    return WO;
-  }
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0)
+    return crashedResponse(ErrorCode::WorkerCrashedSignal,
+                           "socketpair failed for worker");
 
   // The chaos decision is taken before fork so the Nth-worker ordinal is a
   // pure function of the spawn sequence, not of child scheduling.
   bool ChaosKill = ServiceFaultPlan::global().killThisWorker();
 
-  std::string Frame =
-      formatWireMessage(encodeWorkerRequest(Req, StoreDir, TestCrash));
+  std::string Frame = formatWireMessage(encodeWorkerRequest(Req, TestCrash));
 
   pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Sv[0]);
     ::close(Sv[1]);
-    WO.Crashed = true;
-    WO.Resp =
-        crashedResponse(ErrorCode::WorkerCrashedSignal, "fork failed");
-    return WO;
+    return crashedResponse(ErrorCode::WorkerCrashedSignal, "fork failed");
   }
   if (Pid == 0) {
     ::close(Sv[0]);
@@ -430,16 +352,13 @@ WorkerOutcome mucyc::runWorkerAttempt(const SolveRequest &Req,
   WireMessage M;
   if (FS == FrameStatus::Ok && parseWireMessage(Reply, M, nullptr) &&
       M.Verb == "done" && !M.header("status").empty()) {
-    SolveResponse &Resp = WO.Resp;
+    SolveResponse Resp;
     std::string Status = M.header("status");
     Resp.Status = Status == "sat"     ? ChcStatus::Sat
                   : Status == "unsat" ? ChcStatus::Unsat
                                       : ChcStatus::Unknown;
     Resp.Depth = std::atoi(M.header("depth", "0").c_str());
-    Resp.Attempts = static_cast<unsigned>(
-        std::strtoul(M.header("attempts", "1").c_str(), nullptr, 10));
     Resp.Stats = parseStats(M.header("stats"));
-    Resp.Seconds = std::atof(M.header("seconds", "0").c_str());
     if (!M.header("error-code").empty())
       Resp.Error = ErrorInfo{errorCodeFromName(M.header("error-code")),
                              M.header("error-detail")};
@@ -447,63 +366,42 @@ WorkerOutcome mucyc::runWorkerAttempt(const SolveRequest &Req,
       Resp.VerifyFailed = true;
       Resp.VerifyNote = M.header("verify-failed");
     }
-    if (!M.header("cache").empty()) {
-      std::string C = M.header("cache");
-      Resp.Cache = C == "mem-hit"    ? CacheSource::Memory
-                   : C == "disk-hit" ? CacheSource::Disk
-                                     : CacheSource::None;
-      Resp.CacheVerified = M.header("cache-verified") == "1";
-    }
-    Resp.Fingerprint = M.header("fingerprint");
     Resp.SolutionText = M.Body;
-    WO.Cert = M.header("cert");
-    WO.ZSortsLine = M.header("zsorts");
-    WO.ConfigName = M.header("config");
-    return WO;
+    if (Cert) {
+      Cert->Status = Resp.Status;
+      Cert->Depth = Resp.Depth;
+      Cert->Config = M.header("config");
+      Cert->Cert = M.header("cert");
+    }
+    return Resp;
   }
 
   // No usable reply: classify the death.
-  if (KilledCancel) {
-    WO.Resp = crashedResponse(ErrorCode::Cancelled, "worker cancelled");
-    WO.Crashed = false; // Final, not a crash to retry.
-    return WO;
-  }
-  WO.Crashed = true;
-  if (KilledWedged) {
-    WO.Resp = crashedResponse(
+  if (KilledCancel)
+    return crashedResponse(ErrorCode::Cancelled, "worker cancelled");
+  if (KilledWedged)
+    return crashedResponse(
         ErrorCode::WorkerCrashedWedged,
         "watchdog killed wedged worker past deadline grace");
-    return WO;
-  }
   if (WIFSIGNALED(St)) {
     int Sig = WTERMSIG(St);
-    if (Sig == SIGXCPU) {
-      WO.Resp = crashedResponse(ErrorCode::WorkerCrashedRlimit,
-                                "worker hit RLIMIT_CPU (SIGXCPU)");
-      return WO;
-    }
-    WO.Resp = crashedResponse(ErrorCode::WorkerCrashedSignal,
-                              "worker killed by signal " +
-                                  std::to_string(Sig));
-    return WO;
+    if (Sig == SIGXCPU)
+      return crashedResponse(ErrorCode::WorkerCrashedRlimit,
+                             "worker hit RLIMIT_CPU (SIGXCPU)");
+    return crashedResponse(ErrorCode::WorkerCrashedSignal,
+                           "worker killed by signal " + std::to_string(Sig));
   }
   if (WIFEXITED(St)) {
     int Code = WEXITSTATUS(St);
-    if (Code == ExitRlimit) {
-      WO.Resp = crashedResponse(ErrorCode::WorkerCrashedRlimit,
-                                "worker hit RLIMIT_AS (allocation failure)");
-      return WO;
-    }
-    if (Code == 0) {
-      WO.Resp = crashedResponse(ErrorCode::WorkerCrashedSignal,
-                                "worker reply truncated or malformed");
-      return WO;
-    }
-    WO.Resp = crashedResponse(ErrorCode::WorkerCrashedSignal,
-                              "worker exit status " + std::to_string(Code));
-    return WO;
+    if (Code == ExitRlimit)
+      return crashedResponse(ErrorCode::WorkerCrashedRlimit,
+                             "worker hit RLIMIT_AS (allocation failure)");
+    if (Code == 0)
+      return crashedResponse(ErrorCode::WorkerCrashedSignal,
+                             "worker reply truncated or malformed");
+    return crashedResponse(ErrorCode::WorkerCrashedSignal,
+                           "worker exit status " + std::to_string(Code));
   }
-  WO.Resp = crashedResponse(ErrorCode::WorkerCrashedSignal,
-                            "worker vanished without a wait status");
-  return WO;
+  return crashedResponse(ErrorCode::WorkerCrashedSignal,
+                         "worker vanished without a wait status");
 }

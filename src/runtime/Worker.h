@@ -5,30 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-level blast-radius containment for solve jobs. The PR-4
-/// recovery ladder catches typed C++ exceptions; it cannot catch a
-/// segfault, an OOM kill, or a runaway native loop that never polls its
-/// cancel flag. runInWorker() forks a sandboxed child per attempt: the
+/// Process-level blast-radius containment for solve jobs. The retry ladder
+/// catches typed C++ exceptions; it cannot catch a segfault, an OOM kill,
+/// or a runaway native loop that never polls its cancel flag. Under
+/// IsolateMode::Crash, solveRequest() therefore runs each rung of its
+/// ladder through runWorkerAttempt(), which forks a sandboxed child: the
 /// child applies hard OS limits (setrlimit RLIMIT_AS / RLIMIT_CPU from
-/// SolverOptions::HardMemMb / HardCpuSec), receives the request over a
+/// SolverOptions::HardMemMb / HardCpuSec), receives the rung over a
 /// socketpair as one length-prefixed frame (the Serve.h codec — the same
-/// bytes a remote worker would receive), solves, and streams one reply
-/// frame back. The parent runs a watchdog that SIGKILLs a worker past its
-/// deadline-plus-grace or on cooperative cancellation, and classifies any
-/// abnormal exit (signal, nonzero status, truncated or malformed reply)
-/// into a typed Unknown carrying an ErrorCode::WorkerCrashed{Signal,
-/// Rlimit,Wedged} breadcrumb — all of which are recoverable, so the
-/// parent-side crash ladder in solveRequest() retries a crashed worker
-/// with a degraded configuration, mirroring the in-process ladder.
+/// bytes a remote worker would receive), runs exactly one solveAttempt()
+/// (runtime/Recover.h) and streams one reply frame back. The parent runs a
+/// watchdog that SIGKILLs a worker past its deadline-plus-grace or on
+/// cooperative cancellation, and classifies any abnormal exit (signal,
+/// nonzero status, truncated or malformed reply) into a typed Unknown
+/// carrying an ErrorCode::WorkerCrashed{Signal,Rlimit,Wedged} breadcrumb —
+/// all of which are recoverable, so the ladder's next rung runs degraded
+/// in a fresh worker, exactly as an inline rung would.
 ///
-/// Modes (SolverOptions::Isolate): Crash forks only the cold engine run —
-/// the warm store probe, certificate re-verification and store admission
-/// stay in the parent, which also re-verifies the worker's certificate
-/// before admitting it (a corrupted child must not be able to poison the
-/// store). Always ships the whole request, store probe included: the child
-/// opens its own disk-tier ResultStore on the shipped store directory.
-/// Only textual requests (SolveRequest::Source) can cross the process
-/// boundary; builder-only requests fall back to in-process execution.
+/// Only the cold engine run crosses the process boundary: the warm store
+/// probe, certificate re-verification and store admission stay in the
+/// parent, which re-verifies the worker's certificate before admitting it
+/// (a corrupted child must not be able to poison the store). Only textual
+/// requests (SolveRequest::Source) can be shipped; builder-only requests
+/// run their rungs inline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,34 +39,27 @@
 
 namespace mucyc {
 
-/// Outcome of one forked worker attempt, before ladder/admission logic.
-struct WorkerOutcome {
-  SolveResponse Resp;      ///< Typed Unknown + breadcrumb when Crashed.
-  bool Crashed = false;    ///< The child did not deliver a valid reply.
-  std::string Cert;        ///< Serialized certificate (definitive answers).
-  std::string ZSortsLine;  ///< Space-separated sort names of the Z tuple.
-  std::string ConfigName;  ///< Configuration that produced the answer.
-};
-
-/// Encodes \p Req as the "work" frame shipped to the child. \p StoreDir is
-/// non-empty only in Always mode. Exposed for protocol tests.
+/// Encodes \p Req as the "work" frame shipped to the child: its source and
+/// its options, which for a ladder rung are already degraded, seeded and
+/// bounded by the remaining deadline. Exposed for protocol tests.
 WireMessage encodeWorkerRequest(const SolveRequest &Req,
-                                const std::string &StoreDir,
                                 const std::string &TestCrash);
 
-/// Runs one forked worker attempt: fork, sandbox, ship \p Req, watchdog,
+/// Runs one rung in a forked worker: fork, sandbox, ship \p Req, watchdog,
 /// reap, classify. \p DeadlineMs (0 = none) bounds the attempt; the
 /// watchdog SIGKILLs at deadline + grace. \p Cancel is polled while
 /// waiting; a cancelled worker is SIGKILLed and reported as Cancelled
-/// (final, not a crash). Never throws.
-WorkerOutcome runWorkerAttempt(const SolveRequest &Req, uint64_t DeadlineMs,
+/// (final, not a crash). A definitive reply's certificate text lands in
+/// \p Cert (unchecked: the caller must re-verify it). Never throws.
+SolveResponse runWorkerAttempt(const SolveRequest &Req, uint64_t DeadlineMs,
                                const std::atomic<bool> *Cancel,
-                               const std::string &StoreDir,
-                               const std::string &TestCrash);
+                               const std::string &TestCrash,
+                               ResultStore::Entry *Cert);
 
 /// The child side: parses one "work" frame payload, applies the x-crash
-/// test directive if any, solves, and returns the reply frame payload.
-/// Factored out of the fork so tests can drive it in-process.
+/// test directive if any, runs one solveAttempt(), and returns the reply
+/// frame payload. Factored out of the fork so tests can drive it
+/// in-process.
 std::string workerChildServe(const std::string &RequestPayload);
 
 /// True while executing inside a worker child. Belt-and-braces recursion

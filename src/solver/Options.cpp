@@ -16,8 +16,6 @@ const char *mucyc::isolateModeName(IsolateMode M) {
     return "none";
   case IsolateMode::Crash:
     return "crash";
-  case IsolateMode::Always:
-    return "always";
   }
   return "?";
 }
@@ -27,8 +25,6 @@ std::optional<IsolateMode> mucyc::parseIsolateMode(const std::string &S) {
     return IsolateMode::None;
   if (S == "crash")
     return IsolateMode::Crash;
-  if (S == "always")
-    return IsolateMode::Always;
   return std::nullopt;
 }
 
@@ -252,7 +248,7 @@ bool mucyc::parseSolverOptions(int &Argc, char **Argv, CliOptions &Out,
         break;
       auto M = parseIsolateMode(V);
       if (!M) {
-        Err = "bad --isolate value '" + V + "' (want none|crash|always)";
+        Err = "bad --isolate value '" + V + "' (want none|crash)";
         Ok = false;
         break;
       }

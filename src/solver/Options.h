@@ -51,15 +51,11 @@ enum class IsolateMode : uint8_t {
   /// In-process (the historical path). Byte-reproducible; a native crash
   /// takes the process down.
   None,
-  /// The cold engine run forks into a sandboxed worker child; the warm
-  /// store probe, certificate verification and store admission stay in the
-  /// parent. A worker death degrades to a typed Unknown and feeds the
-  /// retry ladder.
+  /// Every rung of the cold retry ladder forks into a sandboxed worker
+  /// child; the warm store probe, certificate verification and store
+  /// admission stay in the parent. A worker death degrades to a typed
+  /// Unknown and feeds the retry ladder.
   Crash,
-  /// The entire request (including a private disk-tier store probe) runs
-  /// in the child; the parent only relays. Maximum blast-radius
-  /// containment, no shared in-memory warm tier.
-  Always,
 };
 
 const char *isolateModeName(IsolateMode M);
@@ -226,7 +222,7 @@ struct CliOptions {
 ///   --verify               verify answers before reporting
 ///   --share-lemmas         cooperative lemma exchange (portfolio)
 ///   --share-import-budget N  max peer lemmas fetched per import round
-///   --isolate MODE         none|crash|always worker-process isolation
+///   --isolate MODE         none|crash worker-process isolation
 ///   --hard-mem-mb N        worker RLIMIT_AS cap (isolated runs)
 ///   --hard-cpu-sec N       worker RLIMIT_CPU cap (isolated runs)
 ///

@@ -34,6 +34,7 @@
 #include "solver/Refiner.h"
 #include "solver/Share.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -64,7 +65,9 @@ private:
     return L + 1 < static_cast<int>(ULevels.size()) ? ULevels[L + 1]
                                                     : F.mkFalse();
   }
-  void addU(int L, TermRef G) {
+  /// Adds the cube \p G, derivable at reach height \p Height, to U.
+  void addU(int L, TermRef G, int Height) {
+    UHeight = std::max(UHeight, Height);
     UAll = F.mkOr(UAll, G);
     if (static_cast<int>(ULevels.size()) <= L)
       ULevels.resize(L + 1, F.mkFalse());
@@ -78,6 +81,11 @@ private:
 
   std::vector<std::vector<TermRef>> Frames; ///< Lemmas, index 0 = root.
   TermRef UAll;
+  /// A derivation height covering every state of U, counted like the
+  /// verifier's bounded reach (iota is height 1, a step from U one more).
+  /// Successor steps deepen U without an Unfold, so it can outgrow the
+  /// frame count; the Unsat depth must cover it.
+  int UHeight = 1;
   std::vector<TermRef> ULevels; ///< Indexed by level when SpacerULevels.
 };
 
@@ -175,7 +183,7 @@ SolverResult SpacerTsEngine::run() {
         if (auto M = E.sat({N.Init, PsiZ})) {
           TermRef G = mbp(F, MbpStrategy::LazyProject, {},
                           F.mkAnd(N.Init, PsiZ), *M);
-          addU(Lvl, G);
+          addU(Lvl, G, 1);
           Stack.pop_back();
           break; // Re-run the outer checks (U may now hit beta).
         }
@@ -192,7 +200,7 @@ SolverResult SpacerTsEngine::run() {
       if (auto M = E.sat({N.Init, PsiZ})) {
         TermRef G = mbp(F, MbpStrategy::LazyProject, {},
                         F.mkAnd(N.Init, PsiZ), *M);
-        addU(Lvl, G);
+        addU(Lvl, G, 1);
         Stack.pop_back();
         break;
       }
@@ -215,7 +223,7 @@ SolverResult SpacerTsEngine::run() {
         if (std::getenv("MUCYC_SPACER_TRACE"))
           std::fprintf(stderr, "[spacer] Successor lvl=%d gamma=%s\n", Lvl,
                        F.toString(G).c_str());
-        addU(Lvl, G);
+        addU(Lvl, G, UHeight + 1); // Both children lie in U.
         Stack.pop_back();
         continue;
       }
@@ -274,6 +282,8 @@ SolverResult SpacerTsEngine::run() {
     }
   }
   R.Depth = static_cast<int>(Frames.size()) - 1;
+  if (R.Status == ChcStatus::Unsat)
+    R.Depth = std::max(R.Depth, UHeight - 2); // Verified at Depth + 2.
   R.Stats = E.Stats;
   if (R.Status == ChcStatus::Unknown)
     R.Error = E.AbortInfo;

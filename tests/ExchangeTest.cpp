@@ -341,15 +341,18 @@ TEST(ExchangeTest, CooperativeRaceAgreesWithGroundTruth) {
     O.ShareLemmas = true;
   }
 
-  PortfolioResult Sat = racePortfolio(
-      [](TermContext &C) { return paperExample5(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/20000);
-  EXPECT_EQ(Sat.Winner.Status, ChcStatus::Sat);
+  auto Race = [&](NormalizedChc (*Build)(TermContext &)) {
+    SolveRequest Base = SolveRequest::fromBuilder(Build, SolverOptions());
+    Base.DeadlineMs = 20000;
+    return racePortfolio(Base, *Configs, /*Jobs=*/2);
+  };
+  PortfolioResult Sat = Race(paperExample5);
+  ASSERT_NE(Sat.winner(), nullptr);
+  EXPECT_EQ(Sat.winner()->Status, ChcStatus::Sat);
 
-  PortfolioResult Unsat = racePortfolio(
-      [](TermContext &C) { return paperExample4(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/20000);
-  EXPECT_EQ(Unsat.Winner.Status, ChcStatus::Unsat);
+  PortfolioResult Unsat = Race(paperExample4);
+  ASSERT_NE(Unsat.winner(), nullptr);
+  EXPECT_EQ(Unsat.winner()->Status, ChcStatus::Unsat);
 
   // Imports never exceed what reached the bus times the reader count, and
   // the merged counters surface in the race result.

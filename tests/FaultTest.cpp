@@ -6,8 +6,9 @@
 //
 // Covers the robustness subsystem: the typed error taxonomy, the cumulative
 // resource gauge, the deterministic fault injector, the degraded-retry
-// ladder (runtime/Recover.h), scheduler deadline/cancellation semantics,
-// portfolio crash survival, and the testgen chaos oracle.
+// ladder (runtime/Recover.h) through solveRequest(), scheduler deadline/
+// cancellation semantics, portfolio crash survival, and the testgen chaos
+// oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -353,15 +354,13 @@ TEST(RecoverTest, TransientFaultSucceedsOnDegradedRetry) {
   FI.CheckTrip = 2;
   Opts->Faults = &FI;
   Opts->MaxRetries = 1;
-  RecoveryOutcome RO = solveWithRecovery(
-      [](TermContext &C) { return paperExample4(C); }, *Opts,
-      /*DeadlineMs=*/0, /*Cancel=*/nullptr);
-  EXPECT_EQ(RO.Res.Status, ChcStatus::Unsat);
-  EXPECT_EQ(RO.Attempts, 2u);
-  EXPECT_TRUE(RO.Degraded);
-  EXPECT_EQ(RO.Res.Stats.Retries, 1u);
-  EXPECT_EQ(RO.Res.Stats.Degradations, 1u);
-  EXPECT_FALSE(RO.Res.Error.isError());
+  SolveResponse R = solveRequest(SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample4(C); }, *Opts));
+  EXPECT_EQ(R.Status, ChcStatus::Unsat);
+  EXPECT_EQ(R.Attempts, 2u);
+  EXPECT_EQ(R.Stats.Retries, 1u);
+  EXPECT_EQ(R.Stats.Degradations, 1u); // The final attempt ran degraded.
+  EXPECT_FALSE(R.Error.isError());
 }
 
 TEST(RecoverTest, RetriesAreCapped) {
@@ -372,14 +371,14 @@ TEST(RecoverTest, RetriesAreCapped) {
   ASSERT_TRUE(Opts.has_value());
   Opts->MemLimitMb = 1;
   Opts->MaxRetries = 1;
-  RecoveryOutcome RO = solveWithRecovery(
-      [](TermContext &C) { return paperExample5(C); }, *Opts, 0, nullptr);
-  EXPECT_EQ(RO.Res.Status, ChcStatus::Unknown);
-  EXPECT_EQ(RO.Attempts, 2u);
-  EXPECT_TRUE(RO.Res.Error.isError());
-  EXPECT_TRUE(errorRecoverable(RO.Res.Error.Code))
+  SolveResponse R = solveRequest(SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample5(C); }, *Opts));
+  EXPECT_EQ(R.Status, ChcStatus::Unknown);
+  EXPECT_EQ(R.Attempts, 2u);
+  EXPECT_TRUE(R.Error.isError());
+  EXPECT_TRUE(errorRecoverable(R.Error.Code))
       << "ladder stopped for the cap, not for an unrecoverable error";
-  EXPECT_EQ(RO.Res.Stats.Retries, 1u);
+  EXPECT_EQ(R.Stats.Retries, 1u);
 }
 
 TEST(RecoverTest, GroundTruthSolvedUnderMemLimitViaEngineSwitch) {
@@ -392,14 +391,13 @@ TEST(RecoverTest, GroundTruthSolvedUnderMemLimitViaEngineSwitch) {
   ASSERT_TRUE(Opts.has_value());
   Opts->MemLimitMb = 1;
   Opts->MaxRetries = 2;
-  RecoveryOutcome RO = solveWithRecovery(
-      [](TermContext &C) { return paperExample5(C); }, *Opts, 0, nullptr);
-  EXPECT_EQ(RO.Res.Status, ChcStatus::Sat); // Example 5 ground truth.
-  EXPECT_EQ(RO.Attempts, 3u);
-  EXPECT_TRUE(RO.Degraded);
-  EXPECT_EQ(RO.Res.Stats.Retries, 2u);
-  EXPECT_EQ(RO.Res.Stats.Degradations, 2u);
-  EXPECT_FALSE(RO.Res.Error.isError());
+  SolveResponse R = solveRequest(SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample5(C); }, *Opts));
+  EXPECT_EQ(R.Status, ChcStatus::Sat); // Example 5 ground truth.
+  EXPECT_EQ(R.Attempts, 3u);
+  EXPECT_EQ(R.Stats.Retries, 2u);
+  EXPECT_EQ(R.Stats.Degradations, 2u); // The final attempt ran degraded.
+  EXPECT_FALSE(R.Error.isError());
 }
 
 //===----------------------------------------------------------------------===//
@@ -409,43 +407,14 @@ TEST(RecoverTest, GroundTruthSolvedUnderMemLimitViaEngineSwitch) {
 TEST(SchedulerTest, ZeroDeadlineMeansNoDeadline) {
   auto Opts = SolverOptions::parse("Ret(T,MBP(1))");
   ASSERT_TRUE(Opts.has_value());
-  std::vector<SolveJob> Batch{
-      SolveJob{[](TermContext &C) { return paperExample5(C); }, *Opts,
-               /*DeadlineMs=*/0, /*AbsDeadlineMs=*/0}};
-  std::vector<SolveJobOutcome> Out = Scheduler(1).run(Batch);
+  SolveRequest Req = SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample5(C); }, *Opts);
+  Req.DeadlineMs = 0;
+  std::vector<SolveResponse> Out = Scheduler(1).run({Req});
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Status, ChcStatus::Sat);
   EXPECT_FALSE(Out[0].Error.isError());
   EXPECT_EQ(Out[0].Attempts, 1u);
-}
-
-TEST(SchedulerTest, ExpiredBatchDeadlineIsDeterministicTimeout) {
-  // Job 0 holds the single worker long enough that job 1's batch-relative
-  // deadline has passed by pickup; job 1 must report Timeout without its
-  // Build ever being invoked — deterministically, not as a race.
-  auto Opts = SolverOptions::parse("Ret(T,MBP(1))");
-  ASSERT_TRUE(Opts.has_value());
-  std::atomic<bool> BuiltLate{false};
-  std::vector<SolveJob> Batch;
-  Batch.push_back(SolveJob{[](TermContext &C) {
-                             std::this_thread::sleep_for(
-                                 std::chrono::milliseconds(50));
-                             return paperExample5(C);
-                           },
-                           *Opts, 0, 0});
-  Batch.push_back(SolveJob{[&BuiltLate](TermContext &C) {
-                             BuiltLate = true;
-                             return paperExample5(C);
-                           },
-                           *Opts, 0, /*AbsDeadlineMs=*/1});
-  std::vector<SolveJobOutcome> Out = Scheduler(1).run(Batch);
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Status, ChcStatus::Sat);
-  EXPECT_EQ(Out[1].Status, ChcStatus::Unknown);
-  EXPECT_EQ(Out[1].Error.Code, ErrorCode::Timeout);
-  EXPECT_NE(Out[1].Error.Detail.find("before the job started"),
-            std::string::npos);
-  EXPECT_FALSE(BuiltLate.load());
 }
 
 TEST(SchedulerTest, PreCancelledBatchRecordsCancelledBreadcrumb) {
@@ -454,12 +423,13 @@ TEST(SchedulerTest, PreCancelledBatchRecordsCancelledBreadcrumb) {
   auto Opts = SolverOptions::parse("Ret(T,MBP(1))");
   ASSERT_TRUE(Opts.has_value());
   std::atomic<bool> Built{false};
-  std::vector<SolveJob> Batch{SolveJob{[&Built](TermContext &C) {
-                                         Built = true;
-                                         return paperExample5(C);
-                                       },
-                                       *Opts, 0, 0}};
-  std::vector<SolveJobOutcome> Out = Scheduler(1).run(Batch, Tok);
+  std::vector<SolveRequest> Batch{SolveRequest::fromBuilder(
+      [&Built](TermContext &C) {
+        Built = true;
+        return paperExample5(C);
+      },
+      *Opts)};
+  std::vector<SolveResponse> Out = Scheduler(1).run(Batch, Tok);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Status, ChcStatus::Unknown);
   EXPECT_EQ(Out[0].Error.Code, ErrorCode::Cancelled);
@@ -479,14 +449,17 @@ TEST(PortfolioTest, SurvivesCrashingMember) {
   FaultInjector FI;
   FI.AllocTrip = 1;
   (*Configs)[0].Faults = &FI;
-  PortfolioResult R = racePortfolio(
-      [](TermContext &C) { return paperExample4(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/60000);
-  EXPECT_EQ(R.Winner.Status, ChcStatus::Unsat);
+  SolveRequest Base = SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample4(C); }, SolverOptions());
+  Base.DeadlineMs = 60000;
+  PortfolioResult R = racePortfolio(Base, *Configs, /*Jobs=*/2);
+  ASSERT_NE(R.winner(), nullptr);
+  EXPECT_EQ(R.winner()->Status, ChcStatus::Unsat);
   EXPECT_EQ(R.WinnerIndex, 1);
-  EXPECT_EQ(R.Members[0].Status, ChcStatus::Unknown);
-  EXPECT_TRUE(R.Members[0].Error.isError());
-  EXPECT_NE(R.Members[0].Error.Detail.find("injected"), std::string::npos);
+  const SolveResponse &Loser = R.Members[0].Resp;
+  EXPECT_EQ(Loser.Status, ChcStatus::Unknown);
+  EXPECT_TRUE(Loser.Error.isError());
+  EXPECT_NE(Loser.Error.Detail.find("injected"), std::string::npos);
 }
 
 TEST(PortfolioTest, MergedStatsCountRetries) {
@@ -499,11 +472,13 @@ TEST(PortfolioTest, MergedStatsCountRetries) {
   FI.CheckTrip = 2;
   (*Configs)[0].Faults = &FI;
   (*Configs)[0].MaxRetries = 2;
-  PortfolioResult R = racePortfolio(
-      [](TermContext &C) { return paperExample4(C); }, *Configs,
-      /*Jobs=*/1, /*TimeoutMs=*/60000);
-  EXPECT_EQ(R.Winner.Status, ChcStatus::Unsat);
-  EXPECT_EQ(R.Members[0].Attempts, 2u);
+  SolveRequest Base = SolveRequest::fromBuilder(
+      [](TermContext &C) { return paperExample4(C); }, SolverOptions());
+  Base.DeadlineMs = 60000;
+  PortfolioResult R = racePortfolio(Base, *Configs, /*Jobs=*/1);
+  ASSERT_NE(R.winner(), nullptr);
+  EXPECT_EQ(R.winner()->Status, ChcStatus::Unsat);
+  EXPECT_EQ(R.Members[0].Resp.Attempts, 2u);
   EXPECT_EQ(R.MergedStats.Retries, 1u);
   EXPECT_EQ(R.MergedStats.Degradations, 1u);
 }

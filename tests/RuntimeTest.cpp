@@ -32,6 +32,13 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
+SolveRequest job(std::function<NormalizedChc(TermContext &)> Build,
+                 const SolverOptions &Opts, uint64_t DeadlineMs) {
+  SolveRequest R = SolveRequest::fromBuilder(std::move(Build), Opts);
+  R.DeadlineMs = DeadlineMs;
+  return R;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -121,8 +128,7 @@ TEST(SchedulerTest, ParallelResultsMatchSequential) {
     for (const char *Cfg : Configs) {
       auto Opts = SolverOptions::parse(Cfg);
       ASSERT_TRUE(Opts.has_value());
-      std::vector<SolveJob> One{SolveJob{B.Build, *Opts, 2000}};
-      SolveJobOutcome O = Scheduler(1).run(One)[0];
+      SolveResponse O = Scheduler(1).run({job(B.Build, *Opts, 2000)})[0];
       if (O.Status == ChcStatus::Unknown || O.Seconds > 1.0)
         AllFast = false;
     }
@@ -131,16 +137,16 @@ TEST(SchedulerTest, ParallelResultsMatchSequential) {
   }
   ASSERT_GE(Fast.size(), 4u) << "small suite unexpectedly slow";
 
-  std::vector<SolveJob> Batch;
+  std::vector<SolveRequest> Batch;
   for (const char *Cfg : Configs) {
     auto Opts = SolverOptions::parse(Cfg);
     ASSERT_TRUE(Opts.has_value());
     for (const BenchInstance &B : Fast)
-      Batch.push_back(SolveJob{B.Build, *Opts, 300000});
+      Batch.push_back(job(B.Build, *Opts, 300000));
   }
 
-  std::vector<SolveJobOutcome> Seq = Scheduler(1).run(Batch);
-  std::vector<SolveJobOutcome> Par = Scheduler(8).run(Batch);
+  std::vector<SolveResponse> Seq = Scheduler(1).run(Batch);
+  std::vector<SolveResponse> Par = Scheduler(8).run(Batch);
   ASSERT_EQ(Seq.size(), Batch.size());
   ASSERT_EQ(Par.size(), Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I) {
@@ -160,16 +166,16 @@ TEST(SchedulerTest, PreCancelledBatchExpiresImmediately) {
   // first budget check instead of running — even diverging ones.
   auto Tok = CancelToken::create();
   Tok->request();
-  std::vector<SolveJob> Batch;
+  std::vector<SolveRequest> Batch;
   auto Opts = SolverOptions::parse("SpacerTS(fig15)");
   ASSERT_TRUE(Opts.has_value());
   for (int I = 0; I < 4; ++I)
-    Batch.push_back(SolveJob{[](TermContext &C) { return appendixCSystem(C); },
-                             *Opts, 0});
+    Batch.push_back(
+        job([](TermContext &C) { return appendixCSystem(C); }, *Opts, 0));
   auto Start = std::chrono::steady_clock::now();
-  std::vector<SolveJobOutcome> Out = Scheduler(2).run(Batch, Tok);
+  std::vector<SolveResponse> Out = Scheduler(2).run(Batch, Tok);
   ASSERT_EQ(Out.size(), 4u);
-  for (const SolveJobOutcome &O : Out)
+  for (const SolveResponse &O : Out)
     EXPECT_EQ(O.Status, ChcStatus::Unknown);
   EXPECT_LT(secondsSince(Start), 5.0);
 }
@@ -180,18 +186,17 @@ TEST(SchedulerTest, CancellationStopsDivergingJobQuickly) {
   // The flag is polled every propagation/pivot round, so the engine must
   // wind down orders of magnitude faster than the 60 s safety net.
   auto Tok = CancelToken::create();
-  std::vector<SolveJob> Batch;
   auto Opts = SolverOptions::parse("SpacerTS(fig15)");
   ASSERT_TRUE(Opts.has_value());
-  Batch.push_back(SolveJob{[](TermContext &C) { return appendixCSystem(C); },
-                           *Opts, 60000});
+  std::vector<SolveRequest> Batch{
+      job([](TermContext &C) { return appendixCSystem(C); }, *Opts, 60000)};
 
   std::thread Killer([&Tok] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     Tok->request();
   });
   auto Start = std::chrono::steady_clock::now();
-  std::vector<SolveJobOutcome> Out = Scheduler(1).run(Batch, Tok);
+  std::vector<SolveResponse> Out = Scheduler(1).run(Batch, Tok);
   double Elapsed = secondsSince(Start);
   Killer.join();
 
@@ -230,24 +235,32 @@ TEST(PortfolioTest, RaceAgreesWithGroundTruth) {
     O.VerifyResult = true;
 
   PortfolioResult Unsat = racePortfolio(
-      [](TermContext &C) { return paperExample4(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/20000);
-  EXPECT_EQ(Unsat.Winner.Status, ChcStatus::Unsat);
-  ASSERT_GE(Unsat.WinnerIndex, 0);
-  EXPECT_TRUE(Unsat.Members[Unsat.WinnerIndex].Winner);
-  EXPECT_EQ(Unsat.WinnerConfig, Unsat.Members[Unsat.WinnerIndex].Config);
-  ASSERT_NE(Unsat.WinnerCtx, nullptr);
+      job([](TermContext &C) { return paperExample4(C); }, SolverOptions(),
+          20000),
+      *Configs, /*Jobs=*/2);
+  ASSERT_NE(Unsat.winner(), nullptr);
+  EXPECT_EQ(Unsat.winner()->Status, ChcStatus::Unsat);
+  EXPECT_EQ(Unsat.Members[Unsat.WinnerIndex].Config,
+            (*Configs)[Unsat.WinnerIndex].name());
+  ASSERT_NE(Unsat.winner()->Ctx, nullptr);
 
   PortfolioResult Sat = racePortfolio(
-      [](TermContext &C) { return paperExample5(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/20000);
-  EXPECT_EQ(Sat.Winner.Status, ChcStatus::Sat);
-  // The winning invariant lives in the race-owned context and is usable
-  // after the race ends.
-  ASSERT_NE(Sat.WinnerCtx, nullptr);
-  EXPECT_FALSE(Sat.WinnerCtx->toString(Sat.Winner.Invariant).empty());
+      job([](TermContext &C) { return paperExample5(C); }, SolverOptions(),
+          20000),
+      *Configs, /*Jobs=*/2);
+  ASSERT_NE(Sat.winner(), nullptr);
+  EXPECT_EQ(Sat.winner()->Status, ChcStatus::Sat);
+  // The winning invariant lives in the winner's context and is usable
+  // after the race ends; the losers' contexts are released.
+  ASSERT_NE(Sat.winner()->Ctx, nullptr);
+  EXPECT_FALSE(Sat.winner()->Ctx->toString(Sat.winner()->Invariant).empty());
+  for (size_t I = 0; I < Sat.Members.size(); ++I) {
+    if (static_cast<int>(I) != Sat.WinnerIndex) {
+      EXPECT_EQ(Sat.Members[I].Resp.Ctx, nullptr) << I;
+    }
+  }
   // Merged stats cover every member, so they dominate the winner's own.
-  EXPECT_GE(Sat.MergedStats.SmtChecks, Sat.Winner.Stats.SmtChecks);
+  EXPECT_GE(Sat.MergedStats.SmtChecks, Sat.winner()->Stats.SmtChecks);
 }
 
 TEST(PortfolioTest, WinnerCancelsDivergingLoser) {
@@ -260,13 +273,15 @@ TEST(PortfolioTest, WinnerCancelsDivergingLoser) {
 
   auto Start = std::chrono::steady_clock::now();
   PortfolioResult R = racePortfolio(
-      [](TermContext &C) { return appendixCSystem(C); }, *Configs,
-      /*Jobs=*/2, /*TimeoutMs=*/0);
+      job([](TermContext &C) { return appendixCSystem(C); }, SolverOptions(),
+          /*DeadlineMs=*/0),
+      *Configs, /*Jobs=*/2);
   double Elapsed = secondsSince(Start);
 
-  EXPECT_EQ(R.Winner.Status, ChcStatus::Unsat);
+  ASSERT_NE(R.winner(), nullptr);
+  EXPECT_EQ(R.winner()->Status, ChcStatus::Unsat);
   EXPECT_EQ(R.WinnerIndex, 1);
-  EXPECT_EQ(R.Members[0].Status, ChcStatus::Unknown);
+  EXPECT_EQ(R.Members[0].Resp.Status, ChcStatus::Unknown);
   EXPECT_TRUE(R.Members[0].Cancelled);
   EXPECT_FALSE(R.Members[1].Cancelled);
   EXPECT_LT(Elapsed, 30.0); // Divergence is cut short, not ridden out.

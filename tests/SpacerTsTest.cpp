@@ -84,3 +84,27 @@ TEST(SpacerTsTest, MaxDepthBoundsUnfolding) {
   SolverResult R = ChcSolver(C, N, *Opts).solve();
   EXPECT_EQ(R.Status, ChcStatus::Unknown);
 }
+
+TEST(SpacerTsTest, UnsatDepthCoversTheDerivationOfU) {
+  // Successor steps deepen U without an Unfold: on these two instances the
+  // counterexample piece first meets beta above the frame count, and the
+  // reported depth must still let the verifier (and store admission,
+  // which re-checks at Depth + 2) derive it.
+  int Seen = 0;
+  for (const BenchInstance &B : buildSuite()) {
+    if (B.Name != "fibsum_unsafe_14" && B.Name != "mixed_unsafe_9")
+      continue;
+    ++Seen;
+    TermContext C;
+    NormalizedChc N = B.Build(C);
+    auto Opts = SolverOptions::parse("SpacerTS(fig1)");
+    ASSERT_TRUE(Opts.has_value());
+    Opts->TimeoutMs = 60000;
+    SolverResult R = ChcSolver(C, N, *Opts).solve();
+    ASSERT_EQ(R.Status, ChcStatus::Unsat) << B.Name;
+    VerifyDiag D;
+    EXPECT_TRUE(verifyCexPiece(C, N, R.CexPiece, R.Depth + 2, &D))
+        << B.Name << " at depth " << R.Depth << ": " << D.Message;
+  }
+  EXPECT_EQ(Seen, 2);
+}

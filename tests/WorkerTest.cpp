@@ -7,23 +7,23 @@
 // Covers the crash-isolation tier: clean isolated solves matching inline
 // verdicts, the x-crash test directives (segfault, abort, plain exit,
 // wedge, CPU burn, allocation bomb) each classifying into the right
-// WorkerCrashed* breadcrumb, the parent-side crash ladder recovering with
-// a degraded retry, cancellation reaching a forked worker, Always-mode
-// requests warming the disk store from inside the child, and the worker
-// wire protocol (encode/decode round trip, in-process child serve).
+// WorkerCrashed* breadcrumb, the retry ladder recovering from a crashed
+// worker with a degraded retry and climbing the same rungs inline and
+// forked, cancellation reaching a forked worker, and the worker wire
+// protocol (encode/decode round trip, in-process child serve).
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Worker.h"
 
+#include "bench_suite/Suite.h"
+#include "chc/Export.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <thread>
-
-#include <unistd.h>
 
 using namespace mucyc;
 
@@ -46,18 +46,6 @@ const char *CounterUnsat = R"((set-logic HORN)
 (assert (forall ((x Int)) (=> (and (Inv x) (> x 2)) false)))
 (check-sat)
 )";
-
-struct TempDir {
-  std::string Path;
-  explicit TempDir(const char *Tag) {
-    Path = (std::filesystem::temp_directory_path() /
-            (std::string("mucyc-worker-test-") + Tag + "-" +
-             std::to_string(::getpid())))
-               .string();
-    std::filesystem::remove_all(Path);
-  }
-  ~TempDir() { std::filesystem::remove_all(Path); }
-};
 
 SolveRequest isolatedRequest(const char *Text, IsolateMode Mode) {
   SolveRequest Req = SolveRequest::fromText(Text, SolverOptions());
@@ -105,23 +93,6 @@ TEST(WorkerTest, CrashModeAdmitsWorkerCertificateIntoParentStore) {
   EXPECT_EQ(Warm.Cache, CacheSource::Memory);
 }
 
-TEST(WorkerTest, AlwaysModeWarmsTheDiskStoreFromInsideTheChild) {
-  TempDir Dir("always");
-  ResultStore Store(Dir.Path);
-  SolveResponse Cold =
-      solveRequest(isolatedRequest(CounterSat, IsolateMode::Always), &Store, nullptr);
-  ASSERT_EQ(Cold.Status, ChcStatus::Sat);
-  EXPECT_GE(Cold.Attempts, 1u);
-  // The second request forks a fresh child whose private store finds the
-  // first child's durably-written entry on disk.
-  SolveResponse Warm =
-      solveRequest(isolatedRequest(CounterSat, IsolateMode::Always), &Store, nullptr);
-  EXPECT_EQ(Warm.Status, ChcStatus::Sat);
-  EXPECT_EQ(Warm.Attempts, 0u);
-  EXPECT_EQ(Warm.Cache, CacheSource::Disk);
-  EXPECT_TRUE(Warm.CacheVerified);
-}
-
 //===----------------------------------------------------------------------===//
 // Crash classification
 //===----------------------------------------------------------------------===//
@@ -157,6 +128,32 @@ TEST(WorkerTest, CrashLadderRecoversWithADegradedRetry) {
   EXPECT_GE(R.Attempts, 2u);
   EXPECT_GE(R.Stats.Degradations, 1u);
   EXPECT_GE(R.Stats.Retries, 1u);
+}
+
+TEST(WorkerTest, OneLadderClimbsTheSameRungsInlineAndForked) {
+  // The Solve baseline diverges on Example 5 and trips the 1 MiB budget at
+  // rungs 1 and 2; rung 3 switches to Ret, which proves it safe. Forked,
+  // the first worker also segfaults before solving: the ladder must still
+  // climb to the engine switch, exactly as it does inline (where the crash
+  // directive is inert).
+  TermContext C;
+  std::string Text = exportSmtLib(C, paperExample5(C));
+  for (IsolateMode Mode : {IsolateMode::None, IsolateMode::Crash}) {
+    auto Opts = SolverOptions::parse("Solve");
+    ASSERT_TRUE(Opts.has_value());
+    Opts->MemLimitMb = 1;
+    Opts->MaxRetries = 2;
+    Opts->Isolate = Mode;
+    SolveRequest Req = SolveRequest::fromText(Text, *Opts);
+    Req.TestCrash = "segv";
+    Req.DeadlineMs = 60000; // Safety net only.
+    SolveResponse R = solveRequest(Req);
+    const char *Name = isolateModeName(Mode);
+    EXPECT_EQ(R.Status, ChcStatus::Sat) << Name << ": " << R.Error.describe();
+    EXPECT_EQ(R.Attempts, 3u) << Name;
+    EXPECT_EQ(R.Stats.Retries, 2u) << Name;
+    EXPECT_EQ(R.Stats.Degradations, 2u) << Name;
+  }
 }
 
 TEST(WorkerTest, WedgedWorkerIsKilledByTheWatchdog) {
@@ -210,7 +207,7 @@ TEST(WorkerTest, RequestEncodingRoundTripsThroughChildServe) {
   SolveRequest Req = SolveRequest::fromText(CounterSat, SolverOptions());
   Req.Opts.MaxRefineSteps = 2000;
   Req.WantSolution = true;
-  WireMessage M = encodeWorkerRequest(Req, /*StoreDir=*/"", /*TestCrash=*/"");
+  WireMessage M = encodeWorkerRequest(Req, /*TestCrash=*/"");
   EXPECT_EQ(M.Verb, "work");
   EXPECT_EQ(M.Body, CounterSat);
 
@@ -234,7 +231,7 @@ TEST(WorkerTest, CrashDirectiveIsInertOutsideAForkedChild) {
   ASSERT_FALSE(inWorkerChild());
   SolveRequest Req = SolveRequest::fromText(CounterSat, SolverOptions());
   Req.Opts.MaxRefineSteps = 2000;
-  WireMessage M = encodeWorkerRequest(Req, "", /*TestCrash=*/"segv");
+  WireMessage M = encodeWorkerRequest(Req, /*TestCrash=*/"segv");
   std::string Reply = workerChildServe(formatWireMessage(M));
   WireMessage R;
   ASSERT_TRUE(parseWireMessage(Reply, R, nullptr));
