@@ -57,7 +57,8 @@
 # Release copy of the library in .bench_build/perfbench) and runs its unit
 # tests, so a runtime API change that breaks the benchmark programs fails
 # here; the traced program's link checks the signatures of the entry points
-# it interposes.
+# it interposes. Short fig2 and btor2 runs then pin the benchmark's work
+# digests, so a speed-up that moves any fixed-budget trajectory fails.
 # Seed and instance count are fixed so CI failures replay locally with
 # exactly one command (printed on failure).
 set -eu
@@ -339,6 +340,26 @@ if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then
   python3 perfbench/run.py --selftest
   cmake --build .bench_build/perfbench -j "$(nproc)" \
     --target perfbench perfbench_traced
+
+  echo "== perfbench digests: fixed-budget trajectories must not move =="
+  # The work digest covers every pair's verdict with its refine and SMT
+  # check counts at the benchmark's fixed refine budgets, so a performance
+  # change that moves a single trajectory fails here. A change that moves
+  # one on purpose updates the constant and says why in CHANGES.md.
+  check_digest() { # $1 = workload, $2 = expected digest
+    GOT=$(python3 perfbench/run.py --workload "$1" --seconds 4 2>/dev/null \
+          | tail -2 | head -1 \
+          | python3 -c 'import json,sys; print(json.load(sys.stdin)["diagnostics"]["digest"])') \
+      || GOT="(no digest: the run failed)"
+    if [ "$GOT" != "$2" ]; then
+      echo "FAIL: perfbench $1 digest is $GOT, expected $2" >&2
+      echo "replay: python3 perfbench/run.py --workload $1 --seconds 4" >&2
+      exit 1
+    fi
+    echo "perfbench $1 digest: $GOT"
+  }
+  check_digest fig2 1c488e7494718c89
+  check_digest btor2 b3b40da66955f8d0
 fi
 
 if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then

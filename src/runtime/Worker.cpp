@@ -70,8 +70,12 @@ SolveStats parseStats(const std::string &Line) {
 /// Die the way the x-crash test directive asks. Only meaningful inside a
 /// forked child; see workerChildServe.
 [[noreturn]] void crashNow(const std::string &How) {
-  if (How == "segv")
+  if (How == "segv") {
+    // Default disposition first: a sanitizer runtime's SIGSEGV handler
+    // would otherwise turn the signal into an ordinary exit status.
+    ::signal(SIGSEGV, SIG_DFL);
     ::raise(SIGSEGV);
+  }
   else if (How == "abort")
     std::abort();
   else if (How == "exit3")

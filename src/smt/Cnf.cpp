@@ -20,8 +20,7 @@ SatLit Tseitin::trueLit() {
 
 SatLit Tseitin::encodeAtom(TermRef A) {
   SatLit L(Sat.newVar(), false);
-  AtomBySatVar.emplace(L.var(), A);
-  Atoms.emplace_back(A, L.var());
+  Atoms.push_back(Atom{A, L.var(), ParsedAtom::parse(Ctx, A)});
   const TermNode &N = Ctx.node(A);
   if (N.K == Kind::EqA) {
     // Split clause so negated equalities need no theory support:

@@ -8,6 +8,8 @@
 /// Tseitin transformation from Boolean term DAGs to SAT clauses. Every
 /// theory atom gets a dedicated SAT variable; the mapping is exposed so the
 /// lazy SMT loop can extract theory literals from propositional models.
+/// Registering an atom also parses it for the arithmetic checker, once per
+/// solver; the parse lives and dies with the encoder.
 ///
 /// Arithmetic equalities additionally get a "split" clause
 /// (a \/ lhs<rhs \/ lhs>rhs) at encoding time, which lets the theory checker
@@ -19,6 +21,7 @@
 #define MUCYC_SMT_CNF_H
 
 #include "smt/SatSolver.h"
+#include "smt/TheoryLia.h"
 #include "term/Term.h"
 
 #include <unordered_map>
@@ -37,17 +40,15 @@ public:
   /// degenerate nesting.
   SatLit encode(TermRef F, unsigned Depth = 0);
 
-  /// Atom term associated with a SAT variable (invalid TermRef for gate and
-  /// constant variables).
-  TermRef atomOf(uint32_t SatVar) const {
-    auto It = AtomBySatVar.find(SatVar);
-    return It == AtomBySatVar.end() ? TermRef() : It->second;
-  }
+  /// A registered theory atom: its term, SAT variable and parse.
+  struct Atom {
+    TermRef Term;
+    uint32_t SatVar;
+    ParsedAtom Parsed;
+  };
 
-  /// All registered theory atoms with their SAT variables.
-  const std::vector<std::pair<TermRef, uint32_t>> &atoms() const {
-    return Atoms;
-  }
+  /// All registered theory atoms, in registration order.
+  const std::vector<Atom> &atoms() const { return Atoms; }
 
 private:
   SatLit encodeAtom(TermRef A);
@@ -56,8 +57,7 @@ private:
   TermContext &Ctx;
   SatSolver &Sat;
   std::unordered_map<uint32_t, SatLit> Cache; // TermRef.Idx -> literal.
-  std::unordered_map<uint32_t, TermRef> AtomBySatVar;
-  std::vector<std::pair<TermRef, uint32_t>> Atoms;
+  std::vector<Atom> Atoms;
   SatLit True;
 };
 

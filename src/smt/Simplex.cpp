@@ -17,7 +17,8 @@ Simplex::VarIdx Simplex::addVar() {
   return static_cast<VarIdx>(Vars.size() - 1);
 }
 
-Simplex::VarIdx Simplex::addRowVar(const std::map<VarIdx, Rational> &Row) {
+Simplex::VarIdx
+Simplex::addRowVar(const std::vector<std::pair<VarIdx, Rational>> &Row) {
   VarIdx S = addVar();
   struct Row NewRow;
   NewRow.Owner = S;
@@ -26,11 +27,9 @@ Simplex::VarIdx Simplex::addRowVar(const std::map<VarIdx, Rational> &Row) {
     assert(V < S && "row references unknown variable");
     if (Vars[V].Basic) {
       // Inline the defining row of a basic variable.
-      const struct Row &Def = Rows[Vars[V].RowIdx];
-      for (const auto &[W, D] : Def.Coeffs)
-        NewRow.add(W, C * D);
+      NewRow.Coeffs.addScaled(Rows[Vars[V].RowIdx].Coeffs, C);
     } else {
-      NewRow.add(V, C);
+      NewRow.Coeffs.add(V, C);
     }
   }
   for (const auto &[V, C] : NewRow.Coeffs)
@@ -82,7 +81,7 @@ void Simplex::updateNonBasic(VarIdx V, const DeltaRational &NewVal) {
   DeltaRational Diff = NewVal - Vars[V].Val;
   Vars[V].Val = NewVal;
   for (Row &R : Rows) {
-    if (const Rational *C = R.find(V))
+    if (const Rational *C = R.Coeffs.find(V))
       Vars[R.Owner].Val = Vars[R.Owner].Val + Diff * *C;
   }
 }
@@ -92,24 +91,16 @@ void Simplex::pivot(VarIdx B, VarIdx N) {
   VarState &XN = Vars[N];
   assert(XB.Basic && !XN.Basic);
   Row &R = Rows[XB.RowIdx];
-  const Rational *AP = R.find(N);
-  assert(AP && !AP->isZero());
-  Rational A = *AP;
+  auto AIt = R.Coeffs.lookup(N);
+  assert(AIt != R.Coeffs.end() && !AIt->second.isZero());
+  Rational InvA = AIt->second.inverse();
 
-  // Rewrite R as: N = (1/A)*B - sum_{j != N} (Cj/A)*xj.
-  std::vector<std::pair<VarIdx, Rational>> NewCoeffs;
-  NewCoeffs.reserve(R.Coeffs.size());
-  Rational InvA = A.inverse();
-  NewCoeffs.emplace_back(B, InvA);
-  for (const auto &[V, C] : R.Coeffs) {
-    if (V == N)
-      continue;
-    NewCoeffs.emplace_back(V, -(C * InvA));
-  }
-  std::sort(NewCoeffs.begin(), NewCoeffs.end(),
-            [](const auto &X, const auto &Y) { return X.first < Y.first; });
+  // Rewrite R as: N = (1/A)*B - sum_{j != N} (Cj/A)*xj. B was basic, so
+  // it is absent from every row and lands in its sorted slot.
+  R.Coeffs.erase(AIt);
+  R.Coeffs.scale(-InvA);
+  R.Coeffs.add(B, InvA);
   R.Owner = N;
-  R.Coeffs = std::move(NewCoeffs);
   XN.Basic = true;
   XN.RowIdx = XB.RowIdx;
   XB.Basic = false;
@@ -119,13 +110,12 @@ void Simplex::pivot(VarIdx B, VarIdx N) {
     if (RI == XN.RowIdx)
       continue;
     Row &Other = Rows[RI];
-    auto It = Other.entry(N);
+    auto It = Other.Coeffs.lookup(N);
     if (It == Other.Coeffs.end())
       continue;
     Rational D = std::move(It->second);
     Other.Coeffs.erase(It);
-    for (const auto &[V, C] : R.Coeffs)
-      Other.add(V, D * C);
+    Other.Coeffs.addScaled(R.Coeffs, D);
   }
 }
 
@@ -198,14 +188,14 @@ bool Simplex::check() {
     }
 
     // pivotAndUpdate(B, N, Target).
-    Rational A = *R.find(N);
+    Rational A = *R.Coeffs.find(N);
     DeltaRational Theta = (Target - XB.Val) * A.inverse();
     Vars[B].Val = Target;
     Vars[N].Val = Vars[N].Val + Theta;
     for (const Row &Other : Rows) {
       if (Other.Owner == B)
         continue;
-      if (const Rational *C = Other.find(N))
+      if (const Rational *C = Other.Coeffs.find(N))
         Vars[Other.Owner].Val = Vars[Other.Owner].Val + Theta * *C;
     }
     pivot(B, N);

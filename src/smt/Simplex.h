@@ -16,12 +16,10 @@
 #define MUCYC_SMT_SIMPLEX_H
 
 #include "support/Fault.h"
-#include "support/Rational.h"
+#include "support/LinearForm.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -35,9 +33,11 @@ public:
   /// Adds a free structural variable.
   VarIdx addVar();
 
-  /// Adds a slack variable defined by the linear form sum(Row[v] * v).
-  /// Referenced variables may themselves be basic; their rows are inlined.
-  VarIdx addRowVar(const std::map<VarIdx, Rational> &Row);
+  /// Adds a slack variable defined by the linear form sum(c * v) over the
+  /// (v, c) pairs of \p Row, which may come in any order but name each
+  /// variable once. Referenced variables may themselves be basic; their
+  /// rows are inlined.
+  VarIdx addRowVar(const std::vector<std::pair<VarIdx, Rational>> &Row);
 
   /// Asserts V >= B (IsLower) or V <= B. \p Reason is an opaque tag used in
   /// explanations. Returns false on an immediate bound conflict.
@@ -83,48 +83,11 @@ private:
     uint32_t RowIdx = 0; ///< Valid when Basic.
   };
 
-  /// Tableau row over non-basic vars only. Coefficients live in a flat
-  /// vector sorted by ascending VarIdx — iteration order matches the old
-  /// std::map layout exactly (Bland's rule and explanation order depend on
-  /// it), while pivoting walks contiguous memory instead of chasing
-  /// red-black tree nodes.
+  /// Tableau row over non-basic vars only, in the shared sorted layout
+  /// (ascending VarIdx: Bland's rule and explanation order depend on it).
   struct Row {
     VarIdx Owner;
-    std::vector<std::pair<VarIdx, Rational>> Coeffs;
-
-    /// Iterator to the entry for \p V, or Coeffs.end().
-    std::vector<std::pair<VarIdx, Rational>>::iterator entry(VarIdx V) {
-      auto It = std::lower_bound(
-          Coeffs.begin(), Coeffs.end(), V,
-          [](const std::pair<VarIdx, Rational> &E, VarIdx X) {
-            return E.first < X;
-          });
-      return It != Coeffs.end() && It->first == V ? It : Coeffs.end();
-    }
-    /// Coefficient of \p V, or nullptr when absent.
-    const Rational *find(VarIdx V) const {
-      auto It = std::lower_bound(
-          Coeffs.begin(), Coeffs.end(), V,
-          [](const std::pair<VarIdx, Rational> &E, VarIdx X) {
-            return E.first < X;
-          });
-      return It != Coeffs.end() && It->first == V ? &It->second : nullptr;
-    }
-    /// Accumulates C into the slot for \p V, dropping it on exact zero.
-    void add(VarIdx V, const Rational &C) {
-      auto It = std::lower_bound(
-          Coeffs.begin(), Coeffs.end(), V,
-          [](const std::pair<VarIdx, Rational> &E, VarIdx X) {
-            return E.first < X;
-          });
-      if (It != Coeffs.end() && It->first == V) {
-        It->second += C;
-        if (It->second.isZero())
-          Coeffs.erase(It);
-      } else if (!C.isZero()) {
-        Coeffs.insert(It, {V, C});
-      }
-    }
+    LinearForm Coeffs;
   };
 
   void updateNonBasic(VarIdx V, const DeltaRational &NewVal);

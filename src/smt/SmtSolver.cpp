@@ -12,6 +12,16 @@
 
 using namespace mucyc;
 
+#ifndef NDEBUG
+namespace {
+/// MUCYC_VERIFY_CORES, read once per process.
+bool verifyCores() {
+  static const bool On = std::getenv("MUCYC_VERIFY_CORES") != nullptr;
+  return On;
+}
+} // namespace
+#endif
+
 TermRef SmtSolver::eliminateDivides(TermRef F, unsigned Depth) {
   // Builders keep formulas flat (and/or splice their kids), so legitimate
   // nesting is shallow; anything this deep would overflow the stack first.
@@ -130,6 +140,8 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
     AsmMap.emplace_back(L, A);
   }
 
+  std::vector<TheoryLit> Lits;
+  std::vector<SatLit> LitSat;
   for (uint64_t Iter = 0; Iter < LemmaBudget; ++Iter) {
     if (CancelFlag && CancelFlag->load(std::memory_order_relaxed))
       return SmtStatus::Unknown;
@@ -145,25 +157,23 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
     }
 
     // Extract theory literals from the propositional model.
-    std::vector<TheoryLit> Lits;
-    std::vector<SatLit> LitSat;
-    for (const auto &[Atom, SatVar] : Enc.atoms()) {
-      if (Ctx.kind(Atom) == Kind::Var)
+    Lits.clear();
+    LitSat.clear();
+    for (const Tseitin::Atom &A : Enc.atoms()) {
+      if (A.Parsed.S == Sort::Bool)
         continue; // Boolean variable: no theory content.
-      bool Pos = Sat.modelValue(SatVar);
-      Lits.push_back(TheoryLit{Atom, Pos});
-      LitSat.push_back(SatLit(SatVar, /*Negated=*/!Pos));
+      bool Pos = Sat.modelValue(A.SatVar);
+      Lits.push_back(TheoryLit{A.Term, Pos, &A.Parsed});
+      LitSat.push_back(SatLit(A.SatVar, /*Negated=*/!Pos));
     }
 
     ArithChecker::Outcome Out = Checker.check(Lits);
     switch (Out.St) {
     case ArithChecker::Status::Feasible: {
       Assignment Assign = Checker.arithModel();
-      for (const auto &[Atom, SatVar] : Enc.atoms()) {
-        const TermNode &N = Ctx.node(Atom);
-        if (N.K == Kind::Var)
-          Assign[N.Var] = Value::boolean(Sat.modelValue(SatVar));
-      }
+      for (const Tseitin::Atom &A : Enc.atoms())
+        if (A.Parsed.S == Sort::Bool)
+          Assign[A.Parsed.BoolVar] = Value::boolean(Sat.modelValue(A.SatVar));
       LastModel = Model(std::move(Assign));
       return SmtStatus::Sat;
     }
@@ -174,7 +184,7 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
       for (size_t I : Out.Core)
         Blocking.push_back(~LitSat[I]);
 #ifndef NDEBUG
-      if (std::getenv("MUCYC_VERIFY_CORES")) {
+      if (verifyCores()) {
         static bool InVerify = false;
         if (!InVerify) {
           InVerify = true;

@@ -20,6 +20,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+/// Constraints, substitutions and Omega bounds all use the one sorted
+/// LinearForm layout over checker locals; every scan below walks it in
+/// ascending local order, which the picks (unit variable, min-|a|, Omega
+/// variable, fractional variable) depend on.
+///
+//===----------------------------------------------------------------------===//
+
 #include "smt/TheoryLia.h"
 
 #include "smt/Simplex.h"
@@ -27,30 +34,24 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <optional>
 
 using namespace mucyc;
 
 namespace {
 
+/// MUCYC_DEBUG_ARITH, read once per process.
+bool debugArith() {
+  static const bool On = std::getenv("MUCYC_DEBUG_ARITH") != nullptr;
+  return On;
+}
+
 /// Internal linear constraint over "local" variables: E + C <rel> 0.
 struct Constraint {
   enum Rel { Le, Lt, Eq } R;
-  std::map<uint32_t, Rational> E; ///< Local variable -> coefficient.
+  LinearForm E; ///< Local variable -> coefficient.
   Rational C;
   std::vector<int> Reasons; ///< Literal indices that produced it.
 };
-
-void addInto(std::map<uint32_t, Rational> &Dst,
-             const std::map<uint32_t, Rational> &Src, const Rational &Scale) {
-  for (const auto &[V, C] : Src) {
-    Rational &Slot = Dst[V];
-    Slot += C * Scale;
-    if (Slot.isZero())
-      Dst.erase(V);
-  }
-}
 
 void mergeReasons(std::vector<int> &Dst, const std::vector<int> &Src) {
   for (int R : Src)
@@ -69,9 +70,40 @@ BigInt symMod(const BigInt &A, const BigInt &M) {
 /// Substitution record: Var := E + C (over locals live after this step).
 struct SubStep {
   uint32_t Var;
-  std::map<uint32_t, Rational> E;
+  LinearForm E;
   Rational C;
 };
+
+/// Witness values by local; a local without an entry is unassigned.
+class Witness {
+public:
+  const Rational *get(uint32_t L) const {
+    return L < Has.size() && Has[L] ? &Vals[L] : nullptr;
+  }
+  Rational valueOr0(uint32_t L) const {
+    const Rational *V = get(L);
+    return V ? *V : Rational(0);
+  }
+  void set(uint32_t L, Rational V) {
+    if (L >= Vals.size()) {
+      Vals.resize(L + 1);
+      Has.resize(L + 1, false);
+    }
+    Vals[L] = std::move(V);
+    Has[L] = true;
+  }
+  void clear() {
+    Vals.clear();
+    Has.clear();
+  }
+
+private:
+  std::vector<Rational> Vals;
+  std::vector<bool> Has;
+};
+
+/// Marks a local with no simplex variable yet.
+constexpr Simplex::VarIdx NoSpxVar = UINT32_MAX;
 
 enum class IntStatus { Sat, Unsat, Unknown };
 
@@ -104,20 +136,22 @@ struct IntSolver {
     if (G.isOne())
       return;
     Rational Inv = Rational(BigInt(1), G);
-    std::map<uint32_t, Rational> Scaled;
-    addInto(Scaled, C.E, Inv);
-    C.E = std::move(Scaled);
+    C.E.scale(Inv);
     C.C = -Rational((C.C * Inv * Rational(-1)).floor());
   }
 
-  /// Drops constant constraints; fills ConflictReasons and returns false on
-  /// a violated one. Also applies tightening to every constraint.
+  /// Drops constant constraints (compacting in place); fills
+  /// ConflictReasons and returns false on a violated one. Also applies
+  /// tightening to every constraint.
   bool simplify(std::vector<Constraint> &Cons) {
-    std::vector<Constraint> Kept;
-    for (Constraint &C : Cons) {
+    size_t Kept = 0;
+    for (size_t I = 0; I < Cons.size(); ++I) {
+      Constraint &C = Cons[I];
       if (!C.E.empty()) {
         tighten(C);
-        Kept.push_back(std::move(C));
+        if (Kept != I)
+          Cons[Kept] = std::move(C);
+        ++Kept;
         continue;
       }
       bool Violated = C.R == Constraint::Eq   ? !C.C.isZero()
@@ -128,46 +162,45 @@ struct IntSolver {
         return false;
       }
     }
-    Cons = std::move(Kept);
+    Cons.erase(Cons.begin() + Kept, Cons.end());
     return true;
   }
 
   void substituteVar(std::vector<Constraint> &Cons, uint32_t Var,
-                     const std::map<uint32_t, Rational> &E, const Rational &C0,
+                     LinearForm E, const Rational &C0,
                      const std::vector<int> &Reasons) {
     for (Constraint &Con : Cons) {
-      auto It = Con.E.find(Var);
+      auto It = Con.E.lookup(Var);
       if (It == Con.E.end())
         continue;
-      Rational B = It->second;
+      Rational B = std::move(It->second);
       Con.E.erase(It);
-      addInto(Con.E, E, B);
+      Con.E.addScaled(E, B);
       Con.C += C0 * B;
       mergeReasons(Con.Reasons, Reasons);
     }
-    Subs.push_back(SubStep{Var, E, C0});
+    Subs.push_back(SubStep{Var, std::move(E), C0});
   }
 
   /// Value of a local under the witness, resolving variables eliminated by
   /// substitution on demand (deeper recursion levels push their SubSteps
   /// before outer witnesses are extended, so chains resolve bottom-up).
-  Rational resolveValue(uint32_t V, std::map<uint32_t, Rational> &Values) {
-    auto It = Values.find(V);
-    if (It != Values.end())
-      return It->second;
-    for (auto SIt = Subs.rbegin(); SIt != Subs.rend(); ++SIt) {
-      if (SIt->Var != V)
+  Rational resolveValue(uint32_t V, Witness &Values) {
+    if (const Rational *Known = Values.get(V))
+      return *Known;
+    for (size_t SI = Subs.size(); SI-- > 0;) {
+      if (Subs[SI].Var != V)
         continue;
-      Rational R = SIt->C;
-      // Copy the expression: recursion may invalidate iterators into Subs
-      // only if it pushed (it does not), but keep it simple and safe.
-      std::map<uint32_t, Rational> Expr = SIt->E;
-      for (const auto &[W, Cf] : Expr)
+      Rational R = Subs[SI].C;
+      // Recursion only reads Subs (it never pushes), so the record stays
+      // put while its expression is walked.
+      for (const auto &[W, Cf] : Subs[SI].E)
         R += Cf * resolveValue(W, Values);
-      Values.emplace(V, R);
+      if (!Values.get(V))
+        Values.set(V, R);
       return R;
     }
-    Values.emplace(V, Rational(0));
+    Values.set(V, Rational(0));
     return Rational(0);
   }
 
@@ -194,29 +227,23 @@ struct IntSolver {
         }
         if (!G.isOne()) {
           Rational Inv = Rational(BigInt(1), G);
-          std::map<uint32_t, Rational> Scaled;
-          addInto(Scaled, C.E, Inv);
-          C.E = std::move(Scaled);
+          C.E.scale(Inv);
           C.C *= Inv;
         }
-        uint32_t UnitVar = UINT32_MAX;
-        Rational UnitCoeff;
-        for (const auto &[V, Cf] : C.E)
-          if (Cf.num().abs().isOne()) {
-            UnitVar = V;
-            UnitCoeff = Cf;
-            break;
-          }
-        if (UnitVar != UINT32_MAX) {
-          std::map<uint32_t, Rational> Def;
-          Rational Scale = -UnitCoeff.inverse();
-          for (const auto &[V, Cf] : C.E)
-            if (V != UnitVar)
-              Def.emplace(V, Cf * Scale);
+        auto Unit = std::find_if(C.E.begin(), C.E.end(), [](const auto &E) {
+          return E.second.num().abs().isOne();
+        });
+        if (Unit != C.E.end()) {
+          // Var := -(rest + C) / a with a = ±1; C leaves the system.
+          uint32_t UnitVar = Unit->first;
+          Rational Scale = -Unit->second.inverse();
+          LinearForm Def = std::move(C.E);
+          Def.erase(Def.lookup(UnitVar));
+          Def.scale(Scale);
           Rational DefC = C.C * Scale;
-          std::vector<int> Reasons = C.Reasons;
+          std::vector<int> Reasons = std::move(C.Reasons);
           Cons.erase(Cons.begin() + CI);
-          substituteVar(Cons, UnitVar, Def, DefC, Reasons);
+          substituteVar(Cons, UnitVar, std::move(Def), DefC, Reasons);
           Changed = true;
           break;
         }
@@ -236,25 +263,23 @@ struct IntSolver {
         }
         BigInt M = BestAbs + BigInt(1);
         uint32_t Sigma = freshLocal();
-        std::map<uint32_t, Rational> NewE;
+        LinearForm NewE;
         for (const auto &[V, Cf] : C.E) {
           BigInt SM = symMod(Cf.num(), M);
           if (!SM.isZero())
-            NewE.emplace(V, Rational(SM));
+            NewE.append(V, Rational(SM));
         }
         Rational NewC{symMod(C.C.num(), M)};
-        NewE.emplace(Sigma, Rational(-M));
-        auto KIt = NewE.find(K);
+        NewE.add(Sigma, Rational(-M));
+        auto KIt = NewE.lookup(K);
         assert(KIt != NewE.end() && KIt->second.num().abs().isOne() &&
                "symmetric modulus did not produce a unit coefficient");
         Rational Scale = -KIt->second.inverse();
-        std::map<uint32_t, Rational> Def;
-        for (const auto &[V, Cf] : NewE)
-          if (V != K)
-            Def.emplace(V, Cf * Scale);
+        NewE.erase(KIt);
+        NewE.scale(Scale);
         Rational DefC = NewC * Scale;
         std::vector<int> Reasons = C.Reasons;
-        substituteVar(Cons, K, Def, DefC, Reasons);
+        substituteVar(Cons, K, std::move(NewE), DefC, Reasons);
         Changed = true;
         break;
       }
@@ -271,9 +296,7 @@ struct IntSolver {
             continue;
           if (Cons[I].C + Cons[J].C != Rational(0))
             continue;
-          std::map<uint32_t, Rational> Neg;
-          addInto(Neg, Cons[I].E, Rational(-1));
-          if (Neg != Cons[J].E)
+          if (!Cons[I].E.isNegationOf(Cons[J].E))
             continue;
           Cons[I].R = Constraint::Eq;
           mergeReasons(Cons[I].Reasons, Cons[J].Reasons);
@@ -292,47 +315,46 @@ struct IntSolver {
 
   /// Runs simplex + branch & bound on integer-only Le constraints. Values
   /// for every local occurring in Cons are stored into \p Values.
-  IntStatus bnb(const std::vector<Constraint> &Cons,
-                std::map<uint32_t, Rational> &Values) {
+  IntStatus bnb(const std::vector<Constraint> &Cons, Witness &Values) {
     Simplex Base;
     Base.setResourceGauge(Gauge);
-    std::map<uint32_t, Simplex::VarIdx> SpxOf;
-    std::vector<std::vector<int>> ReasonSets;
+    std::vector<Simplex::VarIdx> SpxOf(NumLocals, NoSpxVar);
+    std::vector<const std::vector<int> *> ReasonSets;
     auto SpxVar = [&](uint32_t L) {
-      auto It = SpxOf.find(L);
-      if (It != SpxOf.end())
-        return It->second;
-      Simplex::VarIdx V = Base.addVar();
-      SpxOf.emplace(L, V);
-      return V;
+      if (SpxOf[L] == NoSpxVar)
+        SpxOf[L] = Base.addVar();
+      return SpxOf[L];
     };
+    std::vector<std::pair<Simplex::VarIdx, Rational>> Row;
     for (const Constraint &C : Cons) {
       assert(C.R == Constraint::Le && !C.E.empty());
       Simplex::VarIdx Subject;
       Rational Scale(1);
       if (C.E.size() == 1) {
-        Subject = SpxVar(C.E.begin()->first);
-        Scale = C.E.begin()->second;
+        Subject = SpxVar(C.E.front().first);
+        Scale = C.E.front().second;
       } else {
-        std::map<Simplex::VarIdx, Rational> Row;
+        Row.clear();
         for (const auto &[V, Cf] : C.E)
-          Row.emplace(SpxVar(V), Cf);
+          Row.emplace_back(SpxVar(V), Cf);
         Subject = Base.addRowVar(Row);
       }
       Rational Bound = -C.C / Scale;
       bool Flip = Scale.sgn() < 0;
       int Tag = static_cast<int>(ReasonSets.size());
-      ReasonSets.push_back(C.Reasons);
+      ReasonSets.push_back(&C.Reasons);
       if (!Base.assertBound(Subject, Flip, DeltaRational(Bound), Tag)) {
         ConflictReasons.clear();
         for (int T : Base.explanation())
           if (T >= 0)
-            mergeReasons(ConflictReasons, ReasonSets[T]);
+            mergeReasons(ConflictReasons, *ReasonSets[T]);
         return IntStatus::Unsat;
       }
     }
-    std::vector<std::pair<uint32_t, Simplex::VarIdx>> IntLocals(
-        SpxOf.begin(), SpxOf.end());
+    std::vector<std::pair<uint32_t, Simplex::VarIdx>> IntLocals;
+    for (uint32_t L = 0; L < SpxOf.size(); ++L)
+      if (SpxOf[L] != NoSpxVar)
+        IntLocals.emplace_back(L, SpxOf[L]);
 
     Base.setCancelFlag(CancelFlag); // Forks inherit the flag by copy.
     uint64_t Nodes = 0;
@@ -349,7 +371,7 @@ struct IntSolver {
           return IntStatus::Unknown;
         for (int T : Spx.explanation())
           if (T >= 0)
-            mergeReasons(Core, ReasonSets[T]);
+            mergeReasons(Core, *ReasonSets[T]);
         continue;
       }
       const std::pair<uint32_t, Simplex::VarIdx> *Frac = nullptr;
@@ -362,8 +384,8 @@ struct IntSolver {
         }
       }
       if (!Frac) {
-        for (const auto &[L, V] : SpxOf)
-          Values[L] = Spx.value(V).real();
+        for (const auto &[L, V] : IntLocals)
+          Values.set(L, Spx.value(V).real());
         return IntStatus::Sat;
       }
       BigInt Fl = Spx.value(Frac->second).real().floor();
@@ -374,7 +396,7 @@ struct IntSolver {
       else
         for (int T : Left.explanation())
           if (T >= 0)
-            mergeReasons(Core, ReasonSets[T]);
+            mergeReasons(Core, *ReasonSets[T]);
       Simplex Right = std::move(Spx);
       if (Right.assertBound(Frac->second, true,
                             DeltaRational(Rational(Fl + BigInt(1))), -1))
@@ -382,7 +404,7 @@ struct IntSolver {
       else
         for (int T : Right.explanation())
           if (T >= 0)
-            mergeReasons(Core, ReasonSets[T]);
+            mergeReasons(Core, *ReasonSets[T]);
     }
     ConflictReasons = Core;
     return IntStatus::Unsat;
@@ -395,8 +417,7 @@ struct IntSolver {
   /// Decides a system of integer Le constraints (equalities must have been
   /// eliminated) and produces witness values on Sat. Complete up to the
   /// recursion budget.
-  IntStatus omega(std::vector<Constraint> Cons,
-                  std::map<uint32_t, Rational> &Values) {
+  IntStatus omega(std::vector<Constraint> Cons, Witness &Values) {
     // Substitutions from abandoned branches must not leak into the final
     // back-substitution chain: roll back on anything but Sat.
     size_t SubsMark = Subs.size();
@@ -406,8 +427,7 @@ struct IntSolver {
     return R;
   }
 
-  IntStatus omegaImpl(std::vector<Constraint> Cons,
-                      std::map<uint32_t, Rational> &Values) {
+  IntStatus omegaImpl(std::vector<Constraint> Cons, Witness &Values) {
     if (OmegaBudget == 0 || cancelled())
       return IntStatus::Unknown;
     --OmegaBudget;
@@ -416,17 +436,20 @@ struct IntSolver {
     if (Cons.empty())
       return IntStatus::Sat;
 
-    // Choose the variable minimizing the shadow blowup.
-    std::map<uint32_t, std::pair<size_t, size_t>> Count; // lowers, uppers.
+    // Choose the variable minimizing the shadow blowup: the first local,
+    // in ascending order, with the fewest lower*upper bound pairs.
+    std::vector<std::pair<size_t, size_t>> Count(NumLocals); // lows, ups.
     for (const Constraint &C : Cons)
       for (const auto &[V, Cf] : C.E)
         (Cf.sgn() < 0 ? Count[V].first : Count[V].second) += 1;
-    uint32_t X = Count.begin()->first;
+    uint32_t X = 0;
     size_t BestCost = SIZE_MAX;
-    for (const auto &[V, LU] : Count) {
-      size_t Cost = LU.first * LU.second;
-      if (Cost < BestCost) {
-        BestCost = Cost;
+    for (uint32_t V = 0; V < Count.size(); ++V) {
+      const auto &[Lo, Up] = Count[V];
+      if (Lo + Up == 0)
+        continue;
+      if (Lo * Up < BestCost) {
+        BestCost = Lo * Up;
         X = V;
       }
     }
@@ -434,41 +457,38 @@ struct IntSolver {
     // Partition on X: lowers a*x >= s (a > 0), uppers b*x <= t (b > 0).
     struct Bnd {
       BigInt A;
-      std::map<uint32_t, Rational> T; ///< The bounding expression.
+      LinearForm T; ///< The bounding expression.
       Rational TC;
       std::vector<int> Reasons;
     };
     std::vector<Bnd> Lowers, Uppers;
     std::vector<Constraint> Rest;
     for (const Constraint &C : Cons) {
-      auto It = C.E.find(X);
-      if (It == C.E.end()) {
+      const Rational *Coeff = C.E.find(X);
+      if (!Coeff) {
         Rest.push_back(C);
         continue;
       }
       // c*x + R + k <= 0.
       Bnd B;
-      Rational Coeff = It->second;
       B.Reasons = C.Reasons;
       B.T = C.E;
       B.T.erase(X);
       B.TC = C.C;
-      if (Coeff.sgn() > 0) {
+      if (Coeff->sgn() > 0) {
         // c*x <= -(R + k): upper with b = c, t = -(R + k).
-        B.A = Coeff.num();
-        std::map<uint32_t, Rational> Neg;
-        addInto(Neg, B.T, Rational(-1));
-        B.T = std::move(Neg);
+        B.A = Coeff->num();
+        B.T.negate();
         B.TC = -B.TC;
         Uppers.push_back(std::move(B));
       } else {
         // c*x + R + k <= 0 with c < 0: (-c)*x >= R + k.
-        B.A = (-Coeff).num();
+        B.A = (-*Coeff).num();
         Lowers.push_back(std::move(B));
       }
     }
 
-    auto ExtendWitness = [&](std::map<uint32_t, Rational> &W) {
+    auto ExtendWitness = [&](Witness &W) {
       auto Eval = [&](const Bnd &B) {
         Rational R = B.TC;
         for (const auto &[V, Cf] : B.T)
@@ -486,7 +506,7 @@ struct IntSolver {
             First = false;
           }
         }
-        W[X] = Rational(Best);
+        W.set(X, Rational(Best));
       } else if (!Uppers.empty()) {
         bool First = true;
         BigInt Best;
@@ -497,15 +517,15 @@ struct IntSolver {
             First = false;
           }
         }
-        W[X] = Rational(Best);
+        W.set(X, Rational(Best));
       } else {
-        W[X] = Rational(0);
+        W.set(X, Rational(0));
       }
     };
 
     // Unbounded on one side: drop X entirely.
     if (Lowers.empty() || Uppers.empty()) {
-      IntStatus R = omega(Rest, Values);
+      IntStatus R = omega(std::move(Rest), Values);
       if (R == IntStatus::Sat)
         ExtendWitness(Values);
       return R;
@@ -525,8 +545,8 @@ struct IntSolver {
           // b*s - a*t + slack <= 0.
           Constraint C;
           C.R = Constraint::Le;
-          addInto(C.E, L.T, Rational(U.A));
-          addInto(C.E, U.T, -Rational(L.A));
+          C.E.addScaled(L.T, Rational(U.A));
+          C.E.addScaled(U.T, -Rational(L.A));
           C.C = L.TC * Rational(U.A) - U.TC * Rational(L.A);
           if (Dark)
             C.C += Rational((L.A - BigInt(1)) * (U.A - BigInt(1)));
@@ -567,8 +587,8 @@ struct IntSolver {
         std::vector<Constraint> S = Cons;
         Constraint Eq;
         Eq.R = Constraint::Eq;
-        Eq.E.emplace(X, Rational(L.A));
-        addInto(Eq.E, L.T, Rational(-1));
+        Eq.E.add(X, Rational(L.A));
+        Eq.E.addScaled(L.T, Rational(-1));
         Eq.C = -L.TC - Rational(I);
         Eq.Reasons = L.Reasons;
         S.push_back(std::move(Eq));
@@ -585,25 +605,37 @@ struct IntSolver {
   }
 };
 
-struct LocalVar {
-  bool IsInt;
-  VarId Term = UINT32_MAX; ///< Term variable, or UINT32_MAX for sigma vars.
-};
-
 } // namespace
 
+ParsedAtom ParsedAtom::parse(const TermContext &Ctx, TermRef Atom) {
+  ParsedAtom P;
+  const TermNode &N = Ctx.node(Atom);
+  if (N.K == Kind::Var) {
+    P.S = Sort::Bool;
+    P.BoolVar = N.Var;
+    return P;
+  }
+  assert(N.K == Kind::Le || N.K == Kind::Lt || N.K == Kind::EqA);
+  P.S = atomArithSort(Ctx, Atom);
+  P.Lin = LinAtom::fromAtomTerm(Ctx, Atom);
+  return P;
+}
+
+uint32_t ArithChecker::localOf(VarId V) {
+  auto It = std::lower_bound(
+      LocalIndex.begin(), LocalIndex.end(), V,
+      [](const std::pair<VarId, uint32_t> &E, VarId X) { return E.first < X; });
+  if (It != LocalIndex.end() && It->first == V)
+    return It->second;
+  uint32_t L = static_cast<uint32_t>(Locals.size());
+  Locals.push_back(LocalVar{Ctx.varInfo(V).S == Sort::Int, V});
+  LocalIndex.insert(It, {V, L});
+  return L;
+}
+
 ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
-  std::vector<LocalVar> Locals;
-  std::map<VarId, uint32_t> LocalOf;
-  auto GetLocal = [&](VarId V) {
-    auto It = LocalOf.find(V);
-    if (It != LocalOf.end())
-      return It->second;
-    uint32_t L = static_cast<uint32_t>(Locals.size());
-    Locals.push_back(LocalVar{Ctx.varInfo(V).S == Sort::Int, V});
-    LocalOf.emplace(V, L);
-    return L;
-  };
+  Locals.clear();
+  LocalIndex.clear();
 
   Outcome Out;
   auto LiteralCore = [&](const std::vector<int> &Reasons) {
@@ -619,60 +651,53 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
   };
 
   //===--------------------------------------------------------------------===
-  // Parse literals into int and real constraint systems.
+  // Turn the literals into int and real constraint systems. Each atom was
+  // parsed when it was registered; here only the polarity is applied.
   //===--------------------------------------------------------------------===
   std::vector<Constraint> IntCons, RealCons;
   for (size_t I = 0; I < Lits.size(); ++I) {
     const TheoryLit &TL = Lits[I];
-    const TermNode &N = Ctx.node(TL.Atom);
-    assert(N.K == Kind::Le || N.K == Kind::Lt || N.K == Kind::EqA);
-    if (N.K == Kind::EqA && !TL.Pos)
+    assert(TL.Parsed && TL.Parsed->S != Sort::Bool);
+    const ParsedAtom &PA = *TL.Parsed;
+    const LinAtom &A = PA.Lin;
+    if (A.Rel == LinRel::Eq && !TL.Pos)
       continue; // Covered by the CNF-level split clause.
 
-    Sort S = atomArithSort(Ctx, TL.Atom);
-    LinExpr Sum = LinExpr::fromTerm(Ctx, N.Kids[0]);
-    Rational K = Ctx.node(N.Kids[1]).Val;
-
+    // The atom is Sum <op> K, read as D + sum(E) <op> 0 with D = Sum.Const - K.
+    const Rational &D = A.Expr.Const;
     Constraint C;
     C.Reasons = {static_cast<int>(I)};
-    for (const auto &[V, Cf] : Sum.Coeffs)
-      C.E.emplace(GetLocal(V), Cf);
-    C.C = Sum.Const - K;
-    auto Negate = [&]() {
-      std::map<uint32_t, Rational> Neg;
-      addInto(Neg, C.E, Rational(-1));
-      C.E = std::move(Neg);
-    };
-    switch (N.K) {
-    case Kind::EqA:
+    for (const auto &[V, Cf] : A.Expr.Coeffs)
+      C.E.add(localOf(V), Cf);
+    C.C = D;
+    switch (A.Rel) {
+    case LinRel::Eq:
       C.R = Constraint::Eq;
       break;
-    case Kind::Le:
+    case LinRel::Le:
       if (TL.Pos) {
         C.R = Constraint::Le;
-      } else if (S == Sort::Int) {
-        Negate();
-        C.C = K + Rational(1) - Sum.Const;
+      } else if (PA.S == Sort::Int) {
+        C.E.negate();
+        C.C = Rational(1) - D;
         C.R = Constraint::Le;
       } else {
-        Negate();
-        C.C = K - Sum.Const;
+        C.E.negate();
+        C.C = -D;
         C.R = Constraint::Lt;
       }
       break;
-    case Kind::Lt:
+    case LinRel::Lt:
       if (TL.Pos) {
         C.R = Constraint::Lt;
       } else {
-        Negate();
-        C.C = K - Sum.Const;
+        C.E.negate();
+        C.C = -D;
         C.R = Constraint::Le;
       }
-      break;
-    default:
       break;
     }
-    (S == Sort::Int ? IntCons : RealCons).push_back(std::move(C));
+    (PA.S == Sort::Int ? IntCons : RealCons).push_back(std::move(C));
   }
 
   //===--------------------------------------------------------------------===
@@ -683,40 +708,38 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
     Simplex Spx;
     Spx.setCancelFlag(CancelFlag);
     Spx.setResourceGauge(Gauge);
-    std::map<uint32_t, Simplex::VarIdx> SpxOf;
-    std::vector<std::vector<int>> ReasonSets;
+    std::vector<Simplex::VarIdx> SpxOf(Locals.size(), NoSpxVar);
+    std::vector<const std::vector<int> *> ReasonSets;
     auto SpxVar = [&](uint32_t L) {
-      auto It = SpxOf.find(L);
-      if (It != SpxOf.end())
-        return It->second;
-      Simplex::VarIdx V = Spx.addVar();
-      SpxOf.emplace(L, V);
-      return V;
+      if (SpxOf[L] == NoSpxVar)
+        SpxOf[L] = Spx.addVar();
+      return SpxOf[L];
     };
     auto Fail = [&](const std::vector<int> &Expl) {
       std::vector<int> Rs;
       for (int T : Expl)
         if (T >= 0)
-          mergeReasons(Rs, ReasonSets[T]);
+          mergeReasons(Rs, *ReasonSets[T]);
       return LiteralCore(Rs);
     };
+    std::vector<std::pair<Simplex::VarIdx, Rational>> Row;
     for (const Constraint &C : RealCons) {
       assert(!C.E.empty() && "ground real constraint survived parsing");
       Simplex::VarIdx Subject;
       Rational Scale(1);
       if (C.E.size() == 1) {
-        Subject = SpxVar(C.E.begin()->first);
-        Scale = C.E.begin()->second;
+        Subject = SpxVar(C.E.front().first);
+        Scale = C.E.front().second;
       } else {
-        std::map<Simplex::VarIdx, Rational> Row;
+        Row.clear();
         for (const auto &[V, Cf] : C.E)
-          Row.emplace(SpxVar(V), Cf);
+          Row.emplace_back(SpxVar(V), Cf);
         Subject = Spx.addRowVar(Row);
       }
       Rational Bound = -C.C / Scale;
       bool Flip = Scale.sgn() < 0;
       int Tag = static_cast<int>(ReasonSets.size());
-      ReasonSets.push_back(C.Reasons);
+      ReasonSets.push_back(&C.Reasons);
       bool Ok = true;
       switch (C.R) {
       case Constraint::Eq:
@@ -743,15 +766,17 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
       return Fail(Spx.explanation());
     }
     Rational Eps = Spx.suitableEpsilon();
-    for (const auto &[L, V] : SpxOf)
-      Assign.emplace(Locals[L].Term,
-                     Value::number(Spx.value(V).materialize(Eps), Sort::Real));
+    for (uint32_t L = 0; L < SpxOf.size(); ++L)
+      if (SpxOf[L] != NoSpxVar)
+        Assign.emplace(Locals[L].Term,
+                       Value::number(Spx.value(SpxOf[L]).materialize(Eps),
+                                     Sort::Real));
   }
 
   //===--------------------------------------------------------------------===
   // Integer part: equality elimination, branch & bound, Omega fallback.
   //===--------------------------------------------------------------------===
-  std::map<uint32_t, Rational> IntValues;
+  Witness IntValues;
   if (!IntCons.empty()) {
     std::vector<Constraint> OrigInt = IntCons; // For the model self-check.
     IntSolver IS;
@@ -764,12 +789,12 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
 
     IntStatus St = IS.bnb(IntCons, IntValues);
     if (St == IntStatus::Unknown) {
-      if (std::getenv("MUCYC_DEBUG_ARITH"))
+      if (debugArith())
         std::fprintf(stderr, "[arith] bnb budget exceeded; omega fallback "
                              "(%zu constraints)\n",
                      IntCons.size());
       IntValues.clear();
-      St = IS.omega(IntCons, IntValues);
+      St = IS.omega(std::move(IntCons), IntValues);
     }
     if (St == IntStatus::Unsat)
       return LiteralCore(IS.ConflictReasons);
@@ -778,24 +803,20 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
       return Out;
     }
     // Back-substitute the eliminated variables (reverse order).
-    auto ValueOf = [&](uint32_t L) {
-      auto It = IntValues.find(L);
-      return It == IntValues.end() ? Rational(0) : It->second;
-    };
     for (auto It = IS.Subs.rbegin(); It != IS.Subs.rend(); ++It) {
       Rational V = It->C;
       for (const auto &[W, Cf] : It->E)
-        V += Cf * ValueOf(W);
-      IntValues[It->Var] = V;
+        V += Cf * IntValues.valueOr0(W);
+      IntValues.set(It->Var, std::move(V));
     }
 #ifndef NDEBUG
     // Self-check: the witness must satisfy every original constraint.
     for (const Constraint &C : OrigInt) {
       Rational S = C.C;
       for (const auto &[V, Cf] : C.E)
-        S += Cf * ValueOf(V);
+        S += Cf * IntValues.valueOr0(V);
       bool Holds = C.R == Constraint::Eq ? S.isZero() : S.sgn() <= 0;
-      if (!Holds && std::getenv("MUCYC_DEBUG_ARITH"))
+      if (!Holds && debugArith())
         std::fprintf(stderr, "[arith] witness violates constraint (rel=%d, "
                              "residual=%s)\n",
                      static_cast<int>(C.R), S.toString().c_str());
@@ -805,10 +826,9 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
   }
 
   for (uint32_t L = 0; L < Locals.size(); ++L) {
-    if (Locals[L].Term == UINT32_MAX || !Locals[L].IsInt)
+    if (!Locals[L].IsInt)
       continue;
-    auto It = IntValues.find(L);
-    Rational V = It == IntValues.end() ? Rational(0) : It->second;
+    Rational V = IntValues.valueOr0(L);
     MUCYC_INVARIANT(V.isInt(), "non-integral Int model value");
     Assign.emplace(Locals[L].Term, Value::number(V, Sort::Int));
   }

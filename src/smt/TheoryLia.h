@@ -31,10 +31,26 @@
 
 namespace mucyc {
 
-/// A theory literal: an atom with its propositional polarity.
+/// A theory atom as the checker reads it. The Tseitin encoder parses each
+/// atom once, when it registers it, so the lazy loop's rounds never walk
+/// the term DAG again.
+struct ParsedAtom {
+  /// Sort::Bool for a Boolean variable (no theory content), else the sort
+  /// of the atom's arithmetic operands.
+  Sort S = Sort::Bool;
+  VarId BoolVar = 0; ///< The variable, when S is Bool.
+  LinAtom Lin;       ///< Arithmetic atoms: lhs - rhs <rel> 0.
+
+  /// Parses a Boolean variable or a canonical Le/Lt/EqA atom. Creates no
+  /// terms.
+  static ParsedAtom parse(const TermContext &Ctx, TermRef Atom);
+};
+
+/// A theory literal: an atom with its propositional polarity and parse.
 struct TheoryLit {
   TermRef Atom;
   bool Pos;
+  const ParsedAtom *Parsed; ///< Never null; outlives the check.
 };
 
 /// One-shot checker for a conjunction of arithmetic literals.
@@ -71,8 +87,20 @@ public:
   void setResourceGauge(ResourceGauge *G) { Gauge = G; }
 
 private:
+  /// A checker-local variable: a term variable, numbered by first
+  /// occurrence in the literal vector.
+  struct LocalVar {
+    bool IsInt;
+    VarId Term;
+  };
+  uint32_t localOf(VarId V);
+
   TermContext &Ctx;
   Assignment ArithAssign;
+  /// Per-check scratch, kept between checks for its capacity: the locals
+  /// and a VarId-sorted index into them.
+  std::vector<LocalVar> Locals;
+  std::vector<std::pair<VarId, uint32_t>> LocalIndex;
   uint64_t NodeBudget = 20000;
   const std::atomic<bool> *CancelFlag = nullptr;
   ResourceGauge *Gauge = nullptr;

@@ -235,35 +235,36 @@ void addDisjuncts(TermContext &F, std::vector<TermRef> &Disjuncts,
 }
 } // namespace
 
+ReachFrames::ReachFrames(TermContext &F, const NormalizedChc &N)
+    : F(F), N(N), Disjuncts{N.Init}, Elim(EngineContext::concat(N.X, N.Y)) {}
+
+TermRef ReachFrames::frame() const { return F.mkOr(Disjuncts); }
+
+bool ReachFrames::next() {
+  TermRef R = frame();
+  TermRef Step = F.mkAnd({N.zToX(F, R), N.zToY(F, R), N.Trans});
+  TermRef Post = qeExists(F, Elim, Step);
+  size_t Before = Disjuncts.size();
+  addDisjuncts(F, Disjuncts, Post);
+  if (Disjuncts.size() == Before)
+    return false;
+  ++Height;
+  return true;
+}
+
 TermRef mucyc::boundedReach(TermContext &F, const NormalizedChc &N, int K) {
-  // R_1 = iota; R_{h+1} = iota \/ QE(exists xy. R_h(x) /\ R_h(y) /\ tau),
-  // maintained as a subsumption-pruned disjunct set.
-  std::vector<TermRef> Disjuncts{N.Init};
-  std::vector<VarId> Elim = EngineContext::concat(N.X, N.Y);
-  for (int H = 1; H < K; ++H) {
-    TermRef R = F.mkOr(Disjuncts);
-    TermRef Step = F.mkAnd({N.zToX(F, R), N.zToY(F, R), N.Trans});
-    TermRef Post = qeExists(F, Elim, Step);
-    size_t Before = Disjuncts.size();
-    addDisjuncts(F, Disjuncts, Post);
-    if (Disjuncts.size() == Before)
-      return R; // Fixed point.
+  ReachFrames Reach(F, N);
+  while (Reach.height() < K && Reach.next()) {
   }
-  return F.mkOr(Disjuncts);
+  return Reach.frame();
 }
 
 ChcStatus mucyc::bmcStatus(TermContext &F, const NormalizedChc &N, int MaxK) {
-  std::vector<TermRef> Disjuncts{N.Init};
-  std::vector<VarId> Elim = EngineContext::concat(N.X, N.Y);
+  ReachFrames Reach(F, N);
   for (int H = 1; H <= MaxK; ++H) {
-    TermRef R = F.mkOr(Disjuncts);
-    if (SmtSolver::quickCheck(F, {R, N.Bad}))
+    if (SmtSolver::quickCheck(F, {Reach.frame(), N.Bad}))
       return ChcStatus::Unsat;
-    TermRef Step = F.mkAnd({N.zToX(F, R), N.zToY(F, R), N.Trans});
-    TermRef Post = qeExists(F, Elim, Step);
-    size_t Before = Disjuncts.size();
-    addDisjuncts(F, Disjuncts, Post);
-    if (Disjuncts.size() == Before)
+    if (!Reach.next())
       return ChcStatus::Sat; // Converged safely.
   }
   return ChcStatus::Unknown;

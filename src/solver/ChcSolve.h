@@ -77,6 +77,31 @@ SolverResult solveChcSystem(ChcSystem &Sys, const SolverOptions &Opts,
 // Ground-truth utilities (used by Verify and the test-suite)
 //===----------------------------------------------------------------------===
 
+/// Exact reach frames R_1 = iota, R_{h+1} = iota \/ QE(exists xy. R_h(x)
+/// /\ R_h(y) /\ tau), built one post-image per height and kept as a
+/// subsumption-pruned disjunct set. A caller that visits every height up
+/// to K pays K-1 post-images, where one boundedReach call per height pays
+/// K(K-1)/2.
+class ReachFrames {
+public:
+  ReachFrames(TermContext &F, const NormalizedChc &N);
+
+  /// R_h for the current height h (1 after construction).
+  TermRef frame() const;
+  int height() const { return Height; }
+
+  /// Advances to R_{h+1}. Returns false, leaving the frame as it is, when
+  /// R_h is a fixed point: every later frame equals it.
+  bool next();
+
+private:
+  TermContext &F;
+  const NormalizedChc &N;
+  std::vector<TermRef> Disjuncts;
+  std::vector<VarId> Elim;
+  int Height = 1;
+};
+
 /// Exact states reachable by derivation trees of height <= K (QE-based).
 TermRef boundedReach(TermContext &F, const NormalizedChc &N, int K);
 

@@ -89,13 +89,15 @@ bool mucyc::verifyCexPiece(TermContext &F, const NormalizedChc &N,
             "beta(z) => false: no state of gamma satisfies beta");
     return false;
   }
-  // ...and Gamma /\ Bad must be reachable. Unroll incrementally (one exact
-  // post-image per round) and stop at the first height that witnesses the
-  // intersection or at a fixed point.
+  // ...and Gamma /\ Bad must be reachable. Unroll once (one exact
+  // post-image per height) and stop at the first height that witnesses the
+  // intersection or at a fixed point, past which every frame is the same.
+  ReachFrames Reach(F, N);
   for (int K = 1; K <= MaxK; ++K) {
-    TermRef Reach = boundedReach(F, N, K);
-    if (SmtSolver::quickCheck(F, {Reach, Gamma, N.Bad}).has_value())
+    if (SmtSolver::quickCheck(F, {Reach.frame(), Gamma, N.Bad}).has_value())
       return true;
+    if (K == MaxK || !Reach.next())
+      break;
   }
   setDiag(Diag, VerifyDiag::Rule::NotReachable,
           "counterexample piece is not derivable: gamma /\\ beta misses "

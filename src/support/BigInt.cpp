@@ -27,8 +27,6 @@ bool initForceHeap() {
 #endif
 }
 
-bool ForceHeapFlag = initForceHeap();
-
 /// Magnitude of a small-domain int64 (which is never INT64_MIN, so the
 /// negation cannot overflow).
 uint64_t smallMagOf(int64_t V) {
@@ -50,18 +48,13 @@ int compareMagU64(const std::vector<uint32_t> &A, uint64_t U) {
 
 } // namespace
 
-void BigInt::setForceHeap(bool On) { ForceHeapFlag = On; }
-bool BigInt::forceHeapEnabled() { return ForceHeapFlag; }
+bool BigInt::ForceHeapFlag = initForceHeap();
 
 //===----------------------------------------------------------------------===//
 // Construction and representation management
 //===----------------------------------------------------------------------===//
 
-BigInt::BigInt(int64_t V) {
-  if (V != INT64_MIN && !ForceHeapFlag) {
-    Small = V;
-    return;
-  }
+void BigInt::initHeap(int64_t V) {
   IsSmall = false;
   Negative = V < 0;
   // Avoid UB on INT64_MIN by widening through unsigned arithmetic.
@@ -176,9 +169,7 @@ std::vector<uint32_t> BigInt::subMag(const std::vector<uint32_t> &A,
 // Comparison
 //===----------------------------------------------------------------------===//
 
-int BigInt::compare(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall)
-    return Small == RHS.Small ? 0 : (Small < RHS.Small ? -1 : 1);
+int BigInt::compareSlow(const BigInt &RHS) const {
   int SL = sgn(), SR = RHS.sgn();
   if (SL != SR)
     return SL < SR ? -1 : 1;
@@ -199,9 +190,7 @@ int BigInt::compare(const BigInt &RHS) const {
 // Arithmetic
 //===----------------------------------------------------------------------===//
 
-BigInt BigInt::operator-() const {
-  if (IsSmall)
-    return BigInt(-Small); // Small excludes INT64_MIN: cannot overflow.
+BigInt BigInt::negSlow() const {
   BigInt R = *this;
   if (!R.Mag.empty())
     R.Negative = !R.Negative;
@@ -230,23 +219,11 @@ BigInt BigInt::heapAdd(const BigInt &L, const BigInt &R) {
   return Out;
 }
 
-BigInt BigInt::operator+(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_add_overflow(Small, RHS.Small, &R))
-      return BigInt(R); // Ctor re-spills R == INT64_MIN.
-  }
-  return heapAdd(heapCopy(), RHS.heapCopy());
+BigInt BigInt::addSlow(const BigInt &L, const BigInt &R) {
+  return heapAdd(L.heapCopy(), R.heapCopy());
 }
 
-BigInt BigInt::operator-(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_sub_overflow(Small, RHS.Small, &R))
-      return BigInt(R);
-  }
-  return *this + (-RHS);
-}
+BigInt BigInt::subSlow(const BigInt &L, const BigInt &R) { return L + (-R); }
 
 BigInt BigInt::heapMul(const BigInt &L, const BigInt &R) {
   if (L.Mag.empty() || R.Mag.empty())
@@ -275,13 +252,8 @@ BigInt BigInt::heapMul(const BigInt &L, const BigInt &R) {
   return Out;
 }
 
-BigInt BigInt::operator*(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_mul_overflow(Small, RHS.Small, &R))
-      return BigInt(R);
-  }
-  return heapMul(heapCopy(), RHS.heapCopy());
+BigInt BigInt::mulSlow(const BigInt &L, const BigInt &R) {
+  return heapMul(L.heapCopy(), R.heapCopy());
 }
 
 void BigInt::heapDivMod(const BigInt &LHS, const BigInt &RHS, BigInt &Quot,
@@ -372,9 +344,7 @@ BigInt BigInt::euclidMod(const BigInt &RHS) const {
   return R;
 }
 
-BigInt BigInt::abs() const {
-  if (IsSmall)
-    return Small < 0 ? BigInt(-Small) : *this;
+BigInt BigInt::absSlow() const {
   BigInt R = *this;
   R.Negative = false;
   return R;

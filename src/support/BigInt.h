@@ -15,7 +15,10 @@
 ///  * Small: an inline int64_t, no heap traffic. All arithmetic branches on
 ///    the small×small case first and stays inline unless a
 ///    __builtin_*_overflow guard fires. INT64_MIN is excluded from the
-///    small domain so negation/abs never overflow.
+///    small domain so negation/abs never overflow. The small lanes of
+///    construction, + - ×, negation and compare() are defined in this
+///    header so they inline into the simplex and Omega loops; only the
+///    heap paths are out of line.
 ///  * Heap: little-endian base-2^32 magnitude with a sign flag, reached
 ///    only on overflow (or when the force-heap knob is on).
 ///
@@ -50,8 +53,34 @@ public:
   /// Constructs zero.
   BigInt() = default;
 
+  // Copies touch the limb vector only for heap values: a small value's is
+  // always empty, and copying an empty std::vector is still a call.
+  BigInt(const BigInt &O)
+      : Small(O.Small), IsSmall(O.IsSmall), Negative(O.Negative) {
+    if (!O.IsSmall)
+      Mag = O.Mag;
+  }
+  BigInt &operator=(const BigInt &O) {
+    Small = O.Small;
+    IsSmall = O.IsSmall;
+    Negative = O.Negative;
+    if (O.IsSmall)
+      Mag.clear();
+    else
+      Mag = O.Mag;
+    return *this;
+  }
+  BigInt(BigInt &&) noexcept = default;
+  BigInt &operator=(BigInt &&) noexcept = default;
+
   /// Constructs from a machine integer.
-  BigInt(int64_t V);
+  BigInt(int64_t V) {
+    if (V != INT64_MIN && !ForceHeapFlag) [[likely]] {
+      Small = V;
+      return;
+    }
+    initHeap(V);
+  }
 
   /// Parses a decimal string with optional leading '-'. Raises a typed
   /// InputError (support/Error.h) on malformed input, so it is safe on
@@ -74,7 +103,11 @@ public:
 
   /// Three-way comparison: negative, zero, or positive as *this <=> RHS.
   /// Value-based: representations may differ.
-  int compare(const BigInt &RHS) const;
+  int compare(const BigInt &RHS) const {
+    if (IsSmall && RHS.IsSmall)
+      return Small == RHS.Small ? 0 : (Small < RHS.Small ? -1 : 1);
+    return compareSlow(RHS);
+  }
 
   bool operator==(const BigInt &RHS) const {
     if (IsSmall && RHS.IsSmall)
@@ -89,10 +122,29 @@ public:
   bool operator>(const BigInt &RHS) const { return compare(RHS) > 0; }
   bool operator>=(const BigInt &RHS) const { return compare(RHS) >= 0; }
 
-  BigInt operator-() const;
-  BigInt operator+(const BigInt &RHS) const;
-  BigInt operator-(const BigInt &RHS) const;
-  BigInt operator*(const BigInt &RHS) const;
+  BigInt operator-() const {
+    if (IsSmall)
+      return BigInt(-Small); // Small excludes INT64_MIN: cannot overflow.
+    return negSlow();
+  }
+  BigInt operator+(const BigInt &RHS) const {
+    int64_t R;
+    if (IsSmall && RHS.IsSmall && !__builtin_add_overflow(Small, RHS.Small, &R))
+      return BigInt(R); // Ctor re-spills R == INT64_MIN.
+    return addSlow(*this, RHS);
+  }
+  BigInt operator-(const BigInt &RHS) const {
+    int64_t R;
+    if (IsSmall && RHS.IsSmall && !__builtin_sub_overflow(Small, RHS.Small, &R))
+      return BigInt(R);
+    return subSlow(*this, RHS);
+  }
+  BigInt operator*(const BigInt &RHS) const {
+    int64_t R;
+    if (IsSmall && RHS.IsSmall && !__builtin_mul_overflow(Small, RHS.Small, &R))
+      return BigInt(R);
+    return mulSlow(*this, RHS);
+  }
 
   BigInt &operator+=(const BigInt &RHS) { return *this = *this + RHS; }
   BigInt &operator-=(const BigInt &RHS) { return *this = *this - RHS; }
@@ -113,7 +165,11 @@ public:
   /// Euclidean remainder in [0, |RHS|).
   BigInt euclidMod(const BigInt &RHS) const;
 
-  BigInt abs() const;
+  BigInt abs() const {
+    if (IsSmall)
+      return Small < 0 ? BigInt(-Small) : *this;
+    return absSlow();
+  }
 
   /// Greatest common divisor (non-negative; gcd(0,0) = 0).
   static BigInt gcd(BigInt A, BigInt B);
@@ -149,10 +205,22 @@ public:
   /// Initialized from the MUCYC_FORCE_HEAP environment variable (or the
   /// -DMUCYC_FORCE_HEAP build option); not thread-safe to toggle while
   /// other threads compute.
-  static void setForceHeap(bool On);
-  static bool forceHeapEnabled();
+  static void setForceHeap(bool On) { ForceHeapFlag = On; }
+  static bool forceHeapEnabled() { return ForceHeapFlag; }
 
 private:
+  /// The force-heap knob's state (defined and initialized in BigInt.cpp).
+  static bool ForceHeapFlag;
+
+  /// Out-of-line halves of the inline operations above.
+  void initHeap(int64_t V);
+  int compareSlow(const BigInt &RHS) const;
+  BigInt negSlow() const;
+  BigInt absSlow() const;
+  static BigInt addSlow(const BigInt &L, const BigInt &R);
+  static BigInt subSlow(const BigInt &L, const BigInt &R);
+  static BigInt mulSlow(const BigInt &L, const BigInt &R);
+
   /// Drops leading zero limbs, canonicalizes the sign of zero, and
   /// collapses a heap value back into the small domain when it fits (and
   /// force-heap is off).

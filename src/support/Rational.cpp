@@ -61,35 +61,19 @@ void Rational::normalize() {
   }
 }
 
-int Rational::compare(const Rational &RHS) const {
-  // num1/den1 <=> num2/den2  iff  num1*den2 <=> num2*den1 (dens positive).
-  // Fast lane: all four components small means both cross products fit
-  // __int128 (|operands| < 2^63, so |product| < 2^126).
-  int64_t N1, D1, N2, D2;
-  if (Num.smallValue(N1) && Den.smallValue(D1) && RHS.Num.smallValue(N2) &&
-      RHS.Den.smallValue(D2)) {
-    __int128 L = static_cast<__int128>(N1) * D2;
-    __int128 R = static_cast<__int128>(N2) * D1;
-    return L == R ? 0 : (L < R ? -1 : 1);
-  }
+int Rational::compareSlow(const Rational &RHS) const {
   return (Num * RHS.Den).compare(RHS.Num * Den);
 }
 
-Rational Rational::operator-() const {
-  Rational R = *this;
-  R.Num = -R.Num;
-  return R;
-}
-
-Rational Rational::operator+(const Rational &RHS) const {
+Rational Rational::addSlow(const Rational &RHS) const {
   return Rational(Num * RHS.Den + RHS.Num * Den, Den * RHS.Den);
 }
 
-Rational Rational::operator-(const Rational &RHS) const {
+Rational Rational::subSlow(const Rational &RHS) const {
   return Rational(Num * RHS.Den - RHS.Num * Den, Den * RHS.Den);
 }
 
-Rational Rational::operator*(const Rational &RHS) const {
+Rational Rational::mulSlow(const Rational &RHS) const {
   return Rational(Num * RHS.Num, Den * RHS.Den);
 }
 

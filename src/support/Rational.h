@@ -37,7 +37,19 @@ public:
   bool isInt() const { return Den.isOne(); }
   int sgn() const { return Num.sgn(); }
 
-  int compare(const Rational &RHS) const;
+  int compare(const Rational &RHS) const {
+    // num1/den1 <=> num2/den2  iff  num1*den2 <=> num2*den1 (dens positive).
+    // Fast lane: all four components small means both cross products fit
+    // __int128 (|operands| < 2^63, so |product| < 2^126).
+    int64_t N1, D1, N2, D2;
+    if (Num.smallValue(N1) && Den.smallValue(D1) && RHS.Num.smallValue(N2) &&
+        RHS.Den.smallValue(D2)) {
+      __int128 L = static_cast<__int128>(N1) * D2;
+      __int128 R = static_cast<__int128>(N2) * D1;
+      return L == R ? 0 : (L < R ? -1 : 1);
+    }
+    return compareSlow(RHS);
+  }
   bool operator==(const Rational &RHS) const {
     return Num == RHS.Num && Den == RHS.Den;
   }
@@ -47,10 +59,34 @@ public:
   bool operator>(const Rational &RHS) const { return compare(RHS) > 0; }
   bool operator>=(const Rational &RHS) const { return compare(RHS) >= 0; }
 
-  Rational operator-() const;
-  Rational operator+(const Rational &RHS) const;
-  Rational operator-(const Rational &RHS) const;
-  Rational operator*(const Rational &RHS) const;
+  Rational operator-() const { return Rational(-Num, Den, Canonical{}); }
+
+  // Integer lane of + - ×: both operands integers with small numerators
+  // and a result that neither overflows nor lands on INT64_MIN stays on
+  // machine words and skips the gcd. smallValue() is representation-based,
+  // so force-heap values never take the lane and the forced-heap
+  // differential still exercises the general path.
+  Rational operator+(const Rational &RHS) const {
+    int64_t A, B, R;
+    if (intLane(RHS, A, B) && !__builtin_add_overflow(A, B, &R) &&
+        R != INT64_MIN)
+      return Rational(R);
+    return addSlow(RHS);
+  }
+  Rational operator-(const Rational &RHS) const {
+    int64_t A, B, R;
+    if (intLane(RHS, A, B) && !__builtin_sub_overflow(A, B, &R) &&
+        R != INT64_MIN)
+      return Rational(R);
+    return subSlow(RHS);
+  }
+  Rational operator*(const Rational &RHS) const {
+    int64_t A, B, R;
+    if (intLane(RHS, A, B) && !__builtin_mul_overflow(A, B, &R) &&
+        R != INT64_MIN)
+      return Rational(R);
+    return mulSlow(RHS);
+  }
   /// \p RHS must be nonzero.
   Rational operator/(const Rational &RHS) const;
 
@@ -69,6 +105,23 @@ public:
   size_t hash() const;
 
 private:
+  /// Tag for the constructor that takes an already-normalized pair.
+  struct Canonical {};
+  Rational(BigInt N, BigInt D, Canonical)
+      : Num(std::move(N)), Den(std::move(D)) {}
+
+  /// True, with the numerators in \p A and \p B, when both operands are
+  /// small-representation integers.
+  bool intLane(const Rational &RHS, int64_t &A, int64_t &B) const {
+    int64_t DA, DB;
+    return Den.smallValue(DA) && DA == 1 && RHS.Den.smallValue(DB) &&
+           DB == 1 && Num.smallValue(A) && RHS.Num.smallValue(B);
+  }
+
+  int compareSlow(const Rational &RHS) const;
+  Rational addSlow(const Rational &RHS) const;
+  Rational subSlow(const Rational &RHS) const;
+  Rational mulSlow(const Rational &RHS) const;
   void normalize();
 
   BigInt Num;

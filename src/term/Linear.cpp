@@ -12,19 +12,12 @@ void LinExpr::add(const LinExpr &RHS, const Rational &Scale) {
   if (Scale.isZero())
     return;
   Const += RHS.Const * Scale;
-  for (const auto &[V, C] : RHS.Coeffs)
-    addVar(V, C * Scale);
+  Coeffs.addScaled(RHS.Coeffs, Scale);
 }
 
 void LinExpr::addVar(VarId V, const Rational &C) {
-  if (C.isZero())
-    return;
-  auto [It, Inserted] = Coeffs.emplace(V, C);
-  if (Inserted)
-    return;
-  It->second += C;
-  if (It->second.isZero())
-    Coeffs.erase(It);
+  if (!C.isZero())
+    Coeffs.add(V, C);
 }
 
 LinExpr LinExpr::scaled(const Rational &S) const {
@@ -33,10 +26,7 @@ LinExpr LinExpr::scaled(const Rational &S) const {
   return R;
 }
 
-Rational LinExpr::coeff(VarId V) const {
-  auto It = Coeffs.find(V);
-  return It == Coeffs.end() ? Rational(0) : It->second;
-}
+Rational LinExpr::coeff(VarId V) const { return Coeffs.coeff(V); }
 
 namespace {
 /// Recursive accumulation of Scale * T into Out.

@@ -5,26 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// LinExpr is the workhorse view of an arithmetic term: a sparse map from
-/// variables to rational coefficients plus a constant. The simplex core, the
-/// MBP procedures and the atom canonicalizer all operate on LinExprs and
-/// convert back to terms at the edges.
+/// LinExpr is the workhorse view of an arithmetic term: a sparse linear form
+/// over variables (support/LinearForm.h, ascending VarId order) plus a
+/// constant. The MBP procedures and the atom canonicalizer operate on
+/// LinExprs and convert back to terms at the edges; the theory checker reads
+/// each atom's LinAtom once, when the encoder registers it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MUCYC_TERM_LINEAR_H
 #define MUCYC_TERM_LINEAR_H
 
+#include "support/LinearForm.h"
 #include "term/Term.h"
-
-#include <map>
 
 namespace mucyc {
 
 /// Sparse linear expression sum(Coeffs[v] * v) + Const. Coefficients are
 /// never zero (entries are erased when they cancel).
 struct LinExpr {
-  std::map<VarId, Rational> Coeffs;
+  LinearForm Coeffs;
   Rational Const;
 
   bool isConstant() const { return Coeffs.empty(); }
@@ -63,7 +63,7 @@ enum class LinRel : uint8_t { Le, Lt, Eq };
 /// A linear atom in solved form: Expr <rel> 0.
 struct LinAtom {
   LinExpr Expr;
-  LinRel Rel;
+  LinRel Rel = LinRel::Le;
 
   /// Decomposes a canonical Le/Lt/EqA atom term.
   static LinAtom fromAtomTerm(const TermContext &Ctx, TermRef Atom);

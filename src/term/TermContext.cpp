@@ -206,8 +206,9 @@ TermRef TermContext::mkLinAtom(Kind K, TermRef Lhs, Sort S) {
   // Divide coefficients by their gcd. The constant becomes rational again;
   // for Int we tighten below.
   LinExpr Scaled;
+  Scaled.Coeffs.reserve(E.Coeffs.size());
   for (const auto &[V, C] : E.Coeffs)
-    Scaled.Coeffs.emplace(V, C / GR);
+    Scaled.Coeffs.append(V, C / GR);
   Rational Konst = -(E.Const / GR); // Atom shape: sum <op> Konst.
 
   if (K == Kind::EqA) {
@@ -275,7 +276,7 @@ TermRef TermContext::mkDivides(const BigInt &D, TermRef A) {
   for (const auto &[V, C] : E.Coeffs) {
     BigInt Red = C.num().euclidMod(Mod);
     if (!Red.isZero())
-      R.Coeffs.emplace(V, Rational(Red));
+      R.Coeffs.append(V, Rational(Red));
   }
   assert(E.Const.isInt());
   R.Const = Rational(E.Const.num().euclidMod(Mod));
@@ -289,7 +290,7 @@ TermRef TermContext::mkDivides(const BigInt &D, TermRef A) {
   if (!G.isOne()) {
     LinExpr R2;
     for (const auto &[V, C] : R.Coeffs)
-      R2.Coeffs.emplace(V, Rational(C.num() / G));
+      R2.Coeffs.append(V, Rational(C.num() / G));
     R2.Const = Rational(R.Const.num() / G);
     R = std::move(R2);
     Mod = Mod / G;

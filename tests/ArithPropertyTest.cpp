@@ -315,6 +315,90 @@ TEST(ArithProperty, FrontierRationalsMatchForcedHeap) {
   }
 }
 
+// The inline lanes of BigInt and Rational + - × must decline every result
+// that leaves the small domain: exact hits on INT64_MIN (excluded from it)
+// and one step past ±2^63. Operands are built inside each recompute, so
+// the reference runs entirely on heap limbs.
+TEST(ArithProperty, InlineLanesDeclineTheWordEdge) {
+  constexpr int64_t Max = INT64_MAX, Lo = INT64_MIN + 1; // Small domain.
+  constexpr int64_t P62 = int64_t(1) << 62, P31 = int64_t(1) << 31;
+  constexpr int64_t P32 = int64_t(1) << 32;
+  struct EdgeCase {
+    const char *What;
+    char Op;
+    int64_t A, B;
+  };
+  const EdgeCase Cases[] = {
+      {"sum hits INT64_MIN", '+', Lo, -1},
+      {"difference hits INT64_MIN", '-', Lo, 1},
+      {"product hits INT64_MIN", '*', -P62, 2},
+      {"product hits INT64_MIN (limb split)", '*', P32, -P31},
+      {"sum just past +2^63", '+', Max, 1},
+      {"difference just past +2^63", '-', Max, -1},
+      {"product just past +2^63", '*', P62, 2},
+      {"product of negatives past +2^63", '*', -P62, -2},
+      {"sum just past -2^63", '+', Lo, -2},
+      {"difference just past -2^63", '-', Lo, 2},
+      {"product just past -2^63", '*', -P62 - 1, 2},
+      {"sum back inside from the edge", '+', Max, Lo},
+      {"product at the edge, inside", '*', Max, -1},
+  };
+  auto Apply = [](char Op, const auto &X, const auto &Y) {
+    return Op == '+' ? X + Y : Op == '-' ? X - Y : X * Y;
+  };
+  for (const EdgeCase &EC : Cases) {
+    expectMatchesForcedHeap(EC.What, [&] {
+      return Apply(EC.Op, BigInt(EC.A), BigInt(EC.B));
+    });
+    auto RatOp = [&] { return Apply(EC.Op, Rational(EC.A), Rational(EC.B)); };
+    Rational Fast = RatOp();
+    ScopedForceHeap FH(true);
+    Rational Ref = RatOp();
+    EXPECT_EQ(Fast, Ref) << EC.What;
+    EXPECT_EQ(Fast.hash(), Ref.hash()) << EC.What;
+    EXPECT_EQ(Fast.toString(), Ref.toString()) << EC.What;
+    EXPECT_TRUE(Fast.isInt()) << EC.What;
+  }
+}
+
+// Integer operands take the Rational lane; a non-integer or heap-limb
+// operand beside them must send the operation down the general path with
+// the same result as the forced-heap recompute.
+TEST(ArithProperty, RationalIntegerLaneBesideNonIntegers) {
+  Rng R(Rng::deriveSeed(0xA1, 13));
+  auto Operand = [&R](unsigned Kind) {
+    switch (Kind) {
+    case 0: // Small integer, near the edge half the time.
+      return Rational(R.oneIn(2) ? static_cast<int64_t>(R.next() >> 2)
+                                 : static_cast<int64_t>(R.below(2001)) - 1000);
+    case 1: // Small non-integer.
+      return Rational(static_cast<int64_t>(R.below(2001)) - 1000,
+                      static_cast<int64_t>(2 + R.below(50)));
+    default: // Multi-limb integer.
+      return Rational(genNonZeroBig(R, 3));
+    }
+  };
+  for (unsigned I = 0; I < Trials; ++I) {
+    unsigned KA = static_cast<unsigned>(R.below(3));
+    unsigned KB = static_cast<unsigned>(R.below(3));
+    // Draw the operands once; the recompute rebuilds them from their text
+    // so that it runs on heap limbs.
+    std::string SA = Operand(KA).toString(), SB = Operand(KB).toString();
+    auto Check = [&](const char *What, auto Op) {
+      Rational Fast = Op(Rational::fromString(SA), Rational::fromString(SB));
+      ScopedForceHeap FH(true);
+      Rational Ref = Op(Rational::fromString(SA), Rational::fromString(SB));
+      EXPECT_EQ(Fast, Ref) << What << " " << SA << " " << SB;
+      EXPECT_EQ(Fast.hash(), Ref.hash()) << What << " " << SA << " " << SB;
+      EXPECT_EQ(Fast.toString(), Ref.toString()) << What;
+    };
+    Check("add", [](const Rational &X, const Rational &Y) { return X + Y; });
+    Check("sub", [](const Rational &X, const Rational &Y) { return X - Y; });
+    Check("mul", [](const Rational &X, const Rational &Y) { return X * Y; });
+    Check("neg", [](const Rational &X, const Rational &) { return -X; });
+  }
+}
+
 // Delta-rationals order lexicographically: the infinitesimal only breaks
 // ties of the real part (the simplex's strict-bound encoding relies on
 // exactly this).

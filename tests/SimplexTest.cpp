@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 using namespace mucyc;
 
 TEST(SimplexTest, UnconstrainedIsFeasible) {
@@ -126,4 +129,43 @@ TEST(SimplexTest, ChainedInfeasibility) {
   EXPECT_TRUE(S.assertBound(ZY, true, DeltaRational(Rational(0)), 1));
   EXPECT_TRUE(S.assertBound(XZ, true, DeltaRational(Rational(1)), 2));
   EXPECT_FALSE(S.check());
+}
+
+TEST(SimplexTest, RowsMayArriveOutOfKeyOrder) {
+  // addRowVar reads a list, not a sorted map: the same forms listed in key
+  // order and scrambled must build the same tableau, so pivots, values and
+  // explanations agree step for step. 2x - y + 3z >= 4, x + y - z <= 1 and
+  // z - 2x <= -1 are feasible; adding x <= 1/2 and y >= 0 is not
+  // (2x + 3z <= 8x - 3 <= 1 < 4 + y), which takes pivots to find.
+  auto Build = [](bool Scrambled) {
+    Simplex S;
+    auto X = S.addVar(), Y = S.addVar(), Z = S.addVar();
+    std::vector<std::vector<std::pair<Simplex::VarIdx, Rational>>> Rows = {
+        {{X, Rational(2)}, {Y, Rational(-1)}, {Z, Rational(3)}},
+        {{X, Rational(1)}, {Y, Rational(1)}, {Z, Rational(-1)}},
+        {{X, Rational(-2)}, {Z, Rational(1)}}};
+    if (Scrambled)
+      for (auto &R : Rows)
+        std::reverse(R.begin(), R.end());
+    auto R0 = S.addRowVar(Rows[0]), R1 = S.addRowVar(Rows[1]);
+    auto R2 = S.addRowVar(Rows[2]);
+    EXPECT_TRUE(S.assertBound(R0, true, DeltaRational(Rational(4)), 0));
+    EXPECT_TRUE(S.assertBound(R1, false, DeltaRational(Rational(1)), 1));
+    EXPECT_TRUE(S.assertBound(R2, false, DeltaRational(Rational(-1)), 2));
+    bool Sat = S.check();
+    std::vector<DeltaRational> Vals;
+    for (Simplex::VarIdx V = 0; V < S.numVars(); ++V)
+      Vals.push_back(S.value(V));
+    EXPECT_TRUE(S.assertBound(X, false, DeltaRational(Rational(1, 2)), 3));
+    EXPECT_TRUE(S.assertBound(Y, true, DeltaRational(Rational(0)), 4));
+    bool SatAfter = S.check();
+    return std::make_tuple(Sat, Vals, SatAfter, S.explanation());
+  };
+  auto Sorted = Build(false), Scrambled = Build(true);
+  EXPECT_TRUE(std::get<0>(Sorted));
+  EXPECT_FALSE(std::get<2>(Sorted));
+  EXPECT_EQ(std::get<0>(Scrambled), std::get<0>(Sorted));
+  EXPECT_EQ(std::get<1>(Scrambled), std::get<1>(Sorted));
+  EXPECT_EQ(std::get<2>(Scrambled), std::get<2>(Sorted));
+  EXPECT_EQ(std::get<3>(Scrambled), std::get<3>(Sorted));
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 
@@ -269,6 +270,83 @@ TEST_F(SmtFixture, ImpliesAndEquivalentHelpers) {
   EXPECT_FALSE(SmtSolver::implies(C, G, F));
   EXPECT_TRUE(SmtSolver::equivalent(
       C, C.mkLt(X, C.mkIntConst(3)), C.mkLe(X, C.mkIntConst(2))));
+}
+
+//===----------------------------------------------------------------------===
+// Atoms parsed once: a warm checker must answer exactly like a fresh one
+//===----------------------------------------------------------------------===
+
+TEST_F(SmtFixture, ParsedAtomsGiveFirstCheckAnswers) {
+  // Int and Real atoms, with an equality (skipped when negated), a
+  // coefficient needing gcd tightening and a strict Real bound.
+  std::vector<TermRef> Atoms = {
+      C.mkLe(C.mkAdd(X, Y), C.mkIntConst(3)),
+      C.mkEq(C.mkSub(X, Y), C.mkIntConst(1)),
+      C.mkLe(C.mkAdd(C.mkMul(Rational(2), X), C.mkMul(Rational(4), Y)),
+             C.mkIntConst(7)),
+      C.mkGe(Y, C.mkIntConst(-2)),
+      C.mkLt(XR, C.mkRealConst(Rational(1, 2))),
+      C.mkLe(C.mkRealConst(Rational(0)), XR)};
+  // The warm checker reads one parse per atom for every vector.
+  std::vector<ParsedAtom> Parsed;
+  for (TermRef A : Atoms)
+    Parsed.push_back(ParsedAtom::parse(C, A));
+  ArithChecker Warm(C);
+  for (unsigned Mask = 0; Mask < (1u << Atoms.size()); ++Mask) {
+    std::vector<TheoryLit> WarmLits;
+    for (size_t I = 0; I < Atoms.size(); ++I)
+      WarmLits.push_back(TheoryLit{Atoms[I], ((Mask >> I) & 1) != 0,
+                                   &Parsed[I]});
+    for (int Round = 0; Round < 2; ++Round) {
+      // A first check: fresh checker, freshly parsed atoms.
+      std::vector<ParsedAtom> FreshParsed;
+      for (TermRef A : Atoms)
+        FreshParsed.push_back(ParsedAtom::parse(C, A));
+      std::vector<TheoryLit> FreshLits = WarmLits;
+      for (size_t I = 0; I < Atoms.size(); ++I)
+        FreshLits[I].Parsed = &FreshParsed[I];
+      ArithChecker Fresh(C);
+      ArithChecker::Outcome Want = Fresh.check(FreshLits);
+      ArithChecker::Outcome Got = Warm.check(WarmLits);
+      ASSERT_EQ(Got.St, Want.St) << "mask " << Mask;
+      EXPECT_EQ(Got.Core, Want.Core) << "mask " << Mask;
+      if (Want.St == ArithChecker::Status::Feasible)
+        EXPECT_EQ(Warm.arithModel(), Fresh.arithModel()) << "mask " << Mask;
+    }
+  }
+}
+
+TEST_F(SmtFixture, AtomsParsedInAPoppedScopeStaySound) {
+  // Atoms registered (and parsed) inside a scope outlive its pop() and
+  // feed every later round. A solver with learned state answers with its
+  // own model or core, so compare with a fresh solver on status, and check
+  // the warm model and core against the query itself.
+  TermRef P1 = C.mkLe(C.mkAdd(X, Y), C.mkIntConst(4));
+  TermRef P2 = C.mkGe(X, C.mkIntConst(3));
+  TermRef P3 = C.mkGe(Y, C.mkIntConst(2));
+  TermRef P4 = C.mkEq(C.mkMul(Rational(2), X), C.mkAdd(Y, C.mkIntConst(5)));
+  std::vector<std::vector<TermRef>> Queries = {
+      {P1, P2, P3},               // Unsat: x + y >= 5.
+      {P1, C.mkNot(P3), P4},      // Sat.
+      {C.mkNot(P1), P2, P4},      // Sat.
+      {P4, C.mkNot(P2), P3, P1}}; // Unsat: 2x = y + 5 forces x >= 3.5.
+  SmtSolver Warm(C);
+  Warm.push();
+  Warm.assertFormula(C.mkOr({P1, P2, P3, P4}));
+  Warm.pop();
+  for (const std::vector<TermRef> &Q : Queries) {
+    SmtSolver Fresh(C);
+    SmtStatus Want = Fresh.check(Q);
+    ASSERT_EQ(Warm.check(Q), Want);
+    if (Want == SmtStatus::Sat) {
+      for (TermRef A : Q)
+        EXPECT_TRUE(Warm.model().holds(C, A));
+    } else {
+      for (TermRef A : Warm.unsatCore())
+        EXPECT_NE(std::find(Q.begin(), Q.end(), A), Q.end());
+      EXPECT_FALSE(SmtSolver::quickCheck(C, Warm.unsatCore()).has_value());
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===

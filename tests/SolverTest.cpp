@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
+
 using namespace mucyc;
 
 namespace {
@@ -25,6 +28,51 @@ struct EngineCase {
   const char *Config;
   uint64_t TimeoutMs;
 };
+
+/// gtest has no printer for EngineCase, so it prints the raw bytes of a
+/// case, and ctest keeps that print in the name of every matrix case: a
+/// name holds the address of its config string. The loader moves the binary
+/// by whole pages, so the low 12 bits of that address (the first byte and a
+/// half of the print) are set by the link alone, and they used to move
+/// whenever an object linked ahead of this one changed its read-only data.
+/// The config strings therefore live in one page-aligned block, each at a
+/// fixed offset: the one the linker last gave it, so that pinning renamed
+/// no case. The address bits above the page offset still vary between runs.
+struct PinnedConfig {
+  size_t Offset;
+  std::string_view Text;
+};
+
+constexpr PinnedConfig Pins[] = {
+    {0x18C, "Ret(T,MBP(1))"},      {0x1B3, "Ret(F,MBP(0))"},
+    {0x1D1, "Ret(F,Model)"},       {0x287, "Ret(T,MBP(2))"},
+    {0x2AF, "Yld(F,MBP(0))"},      {0x2E7, "Ind(Ret(F,MBP(0)))"},
+    {0x7DF, "Yld(T,MBP(1))"},      {0xDA5, "Cex(Ret(T,MBP(1)))"},
+    {0xDB8, "Mon(Ret(T,MBP(1)))"}, {0xDCB, "Que(Ret(T,MBP(1)))"},
+    {0xDDE, "SpacerTS(fig1)"},     {0xDED, "SpacerTS(fig15)"},
+    {0xE8B, "Solve"}};
+
+constexpr std::array<char, 4096> makeConfigPage() {
+  std::array<char, 4096> Page{};
+  size_t End = 0; // Pins are in offset order; each keeps its NUL.
+  for (const PinnedConfig &P : Pins) {
+    if (P.Offset < End || P.Offset + P.Text.size() >= Page.size())
+      throw "config pins overlap or leave the page";
+    P.Text.copy(Page.data() + P.Offset, P.Text.size());
+    End = P.Offset + P.Text.size() + 1;
+  }
+  return Page;
+}
+
+alignas(4096) constexpr std::array<char, 4096> Page = makeConfigPage();
+
+/// The pinned copy of \p Config; a config without a pin does not compile.
+consteval const char *pinned(std::string_view Config) {
+  for (const PinnedConfig &P : Pins)
+    if (P.Text == Config)
+      return Page.data() + P.Offset;
+  throw "matrix config has no pin";
+}
 } // namespace
 
 class EngineMatrixTest
@@ -56,19 +104,19 @@ TEST_P(EngineMatrixTest, SolvesOrTimesOutHonestly) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EngineMatrixTest,
     ::testing::Combine(
-        ::testing::Values(EngineCase{"Ret(T,MBP(1))", 12000},
-                          EngineCase{"Ret(F,MBP(0))", 12000},
-                          EngineCase{"Ret(T,MBP(2))", 12000},
-                          EngineCase{"Yld(T,MBP(1))", 12000},
-                          EngineCase{"Yld(F,MBP(0))", 12000},
-                          EngineCase{"Ret(F,Model)", 8000},
-                          EngineCase{"Ind(Ret(F,MBP(0)))", 12000},
-                          EngineCase{"Cex(Ret(T,MBP(1)))", 12000},
-                          EngineCase{"Mon(Ret(T,MBP(1)))", 12000},
-                          EngineCase{"Que(Ret(T,MBP(1)))", 12000},
-                          EngineCase{"SpacerTS(fig1)", 12000},
-                          EngineCase{"SpacerTS(fig15)", 8000},
-                          EngineCase{"Solve", 8000}),
+        ::testing::Values(EngineCase{pinned("Ret(T,MBP(1))"), 12000},
+                          EngineCase{pinned("Ret(F,MBP(0))"), 12000},
+                          EngineCase{pinned("Ret(T,MBP(2))"), 12000},
+                          EngineCase{pinned("Yld(T,MBP(1))"), 12000},
+                          EngineCase{pinned("Yld(F,MBP(0))"), 12000},
+                          EngineCase{pinned("Ret(F,Model)"), 8000},
+                          EngineCase{pinned("Ind(Ret(F,MBP(0)))"), 12000},
+                          EngineCase{pinned("Cex(Ret(T,MBP(1)))"), 12000},
+                          EngineCase{pinned("Mon(Ret(T,MBP(1)))"), 12000},
+                          EngineCase{pinned("Que(Ret(T,MBP(1)))"), 12000},
+                          EngineCase{pinned("SpacerTS(fig1)"), 12000},
+                          EngineCase{pinned("SpacerTS(fig15)"), 8000},
+                          EngineCase{pinned("Solve"), 8000}),
         ::testing::Range(0, 12)),
     [](const ::testing::TestParamInfo<std::tuple<EngineCase, int>> &Info) {
       std::string Name = std::get<0>(Info.param).Config;

@@ -171,3 +171,40 @@ TEST(VerifyTest, GroundTruthMatchesSuiteLabels) {
       EXPECT_EQ(S, B.Expected) << B.Name;
   }
 }
+
+TEST(VerifyTest, OnePassReachAgreesWithFromScratchUnrolling) {
+  // verifyCexPiece unrolls the reach frames once; the check it runs at each
+  // height must agree with the same check on boundedReach rebuilt from
+  // scratch for that height, on every unsat instance of the suite.
+  constexpr int MaxK = 4;
+  int Instances = 0;
+  for (const BenchInstance &B : buildSmallSuite()) {
+    if (B.Expected != ChcStatus::Unsat)
+      continue;
+    ++Instances;
+    TermContext C;
+    NormalizedChc N = B.Build(C);
+    ReachFrames Reach(C, N);
+    bool Fixed = false;
+    bool ReachedBad = false;
+    for (int K = 1; K <= MaxK; ++K) {
+      TermRef Scratch = boundedReach(C, N, K);
+      EXPECT_TRUE(SmtSolver::equivalent(C, Reach.frame(), Scratch))
+          << B.Name << " height " << K;
+      bool Hit = SmtSolver::quickCheck(C, {Reach.frame(), N.Bad}).has_value();
+      EXPECT_EQ(Hit,
+                SmtSolver::quickCheck(C, {Scratch, N.Bad}).has_value())
+          << B.Name << " height " << K;
+      ReachedBad |= Hit;
+      // The whole-space piece is verified exactly when bad is reachable
+      // within the height.
+      EXPECT_EQ(verifyCexPiece(C, N, C.mkTrue(), K), ReachedBad)
+          << B.Name << " height " << K;
+      if (K < MaxK && !Fixed) {
+        Fixed = !Reach.next(); // Past a fixed point the frame stays put.
+        EXPECT_EQ(Reach.height(), Fixed ? K : K + 1) << B.Name;
+      }
+    }
+  }
+  EXPECT_GT(Instances, 0);
+}
