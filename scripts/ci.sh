@@ -57,8 +57,9 @@
 # Release copy of the library in .bench_build/perfbench) and runs its unit
 # tests, so a runtime API change that breaks the benchmark programs fails
 # here; the traced program's link checks the signatures of the entry points
-# it interposes. Short fig2 and btor2 runs then pin the benchmark's work
-# digests, so a speed-up that moves any fixed-budget trajectory fails.
+# it interposes. Short fig2, btor2 and serve runs then pin the benchmark's
+# work digests, so a speed-up that moves any fixed-budget trajectory fails;
+# serve is the one that solves in the daemon's forked workers.
 # Seed and instance count are fixed so CI failures replay locally with
 # exactly one command (printed on failure).
 set -eu
@@ -360,6 +361,7 @@ if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then
   }
   check_digest fig2 1c488e7494718c89
   check_digest btor2 b3b40da66955f8d0
+  check_digest serve e6cf32ef16290df3
 fi
 
 if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then

@@ -17,6 +17,17 @@ using namespace mucyc;
 std::vector<TermRef>
 mucyc::generalizeBlockedCube(TermContext &Ctx, TermRef A,
                              const std::vector<TermRef> &Lits) {
+  // The result is a function of the hash-consed inputs alone (a fresh
+  // solver, fixed budgets, no cancel flag), so a repeated call is answered
+  // from the context's memo before any solver is built.
+  std::vector<TermRef> Key;
+  Key.reserve(Lits.size() + 1);
+  Key.push_back(A);
+  Key.insert(Key.end(), Lits.begin(), Lits.end());
+  TermContext::TermListMemo &Memo = Ctx.blockedCubeMemo();
+  if (auto It = Memo.find(Key); It != Memo.end())
+    return It->second;
+
   SmtSolver S(Ctx);
   S.assertFormula(A);
   SmtStatus St = S.check(Lits);
@@ -41,6 +52,9 @@ mucyc::generalizeBlockedCube(TermContext &Ctx, TermRef A,
     }
     ++I;
   }
+  // Stored only once the deletion loop is done: a call that throws leaves
+  // no entry behind.
+  Memo.emplace(std::move(Key), Core);
   return Core;
 }
 
@@ -72,16 +86,22 @@ std::optional<std::vector<TermRef>> negatedCube(TermContext &Ctx, TermRef F) {
   return std::nullopt;
 }
 
+/// The Itp precondition |= A => B, checked in every build.
+void requireImplies(TermContext &Ctx, TermRef A, TermRef B) {
+  MUCYC_INVARIANT(SmtSolver::implies(Ctx, A, B),
+                  "Itp precondition A => B violated");
+}
+
 } // namespace
 
 TermRef mucyc::interpolate(TermContext &Ctx, TermRef A, TermRef B,
                            ItpMode Mode) {
-  MUCYC_INVARIANT(SmtSolver::implies(Ctx, A, B),
-                  "Itp precondition A => B violated");
   switch (Mode) {
   case ItpMode::WeakestB:
+    requireImplies(Ctx, A, B);
     return B;
   case ItpMode::QeStrongest: {
+    requireImplies(Ctx, A, B);
     std::vector<VarId> BVars = Ctx.freeVars(B);
     std::vector<VarId> Elim;
     for (VarId V : Ctx.freeVars(A))
@@ -90,22 +110,28 @@ TermRef mucyc::interpolate(TermContext &Ctx, TermRef A, TermRef B,
     return qeExists(Ctx, Elim, A);
   }
   case ItpMode::CubeGeneralize: {
-    // Decompose B into conjuncts and generalize the clause-like ones.
+    // Decompose B into conjuncts and generalize the clause-like ones. The
+    // precondition is proved one conjunct at a time: a negated cube by the
+    // generalization's first check (which raises when A does not block
+    // the cube), the other conjuncts together by one implication check.
     std::vector<TermRef> Conjuncts;
     if (Ctx.kind(B) == Kind::And)
       Conjuncts = Ctx.node(B).Kids;
     else
       Conjuncts = {B};
-    std::vector<TermRef> Out;
+    std::vector<TermRef> Out, Rest;
     Out.reserve(Conjuncts.size());
     for (TermRef Bj : Conjuncts) {
       if (auto Cube = negatedCube(Ctx, Bj)) {
         std::vector<TermRef> Small = generalizeBlockedCube(Ctx, A, *Cube);
         Out.push_back(Ctx.mkNot(Ctx.mkAnd(std::move(Small))));
       } else {
-        Out.push_back(Bj); // Valid since A => B => Bj.
+        Out.push_back(Bj); // Valid since A => Bj, checked below.
+        Rest.push_back(Bj);
       }
     }
+    if (!Rest.empty())
+      requireImplies(Ctx, A, Ctx.mkAnd(std::move(Rest)));
     return Ctx.mkAnd(std::move(Out));
   }
   }

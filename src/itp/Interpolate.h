@@ -25,6 +25,20 @@
 ///    unchanged (sound because A => B).
 ///  * QeStrongest: the strongest interpolant, QE(exists (vars(A)\vars(B)). A).
 ///
+/// The precondition |= A => B is checked in every build and raises
+/// InvariantViolation when it fails. QeStrongest and WeakestB check it with
+/// one implication. CubeGeneralize checks it one conjunct at a time: a
+/// negated cube by the first check of its generalization, which already
+/// asks whether A blocks the cube, and the other conjuncts together by one
+/// implication.
+///
+/// Generalizations are memoized on the TermContext (blockedCubeMemo()),
+/// keyed by A and the ordered cube literals. A generalization runs a fresh
+/// solver with fixed budgets and no cancel flag, so it is a function of its
+/// hash-consed inputs: a repeated call returns exactly what a rebuild would,
+/// skipping only the rebuild's gauge charges and the fresh witness
+/// variables of divisibility atoms. A call that throws stores nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MUCYC_ITP_INTERPOLATE_H
@@ -40,13 +54,15 @@ enum class ItpMode {
   WeakestB,       ///< Returns B itself (weakest valid interpolant).
 };
 
-/// Computes an interpolant of A and B. Requires |= A => B (checked in debug
-/// builds).
+/// Computes an interpolant of A and B. Requires |= A => B (checked in every
+/// build; raises InvariantViolation when it fails).
 TermRef interpolate(TermContext &Ctx, TermRef A, TermRef B,
                     ItpMode Mode = ItpMode::CubeGeneralize);
 
 /// Generalizes a blocked cube: given |= A => not(/\ Lits), returns a subset
 /// S of Lits with |= A => not(/\ S), as small as greedy core-shrinking gets.
+/// Raises InvariantViolation when A does not block the cube. A repeated A
+/// and literal list is answered from Ctx.blockedCubeMemo().
 std::vector<TermRef> generalizeBlockedCube(TermContext &Ctx, TermRef A,
                                            const std::vector<TermRef> &Lits);
 

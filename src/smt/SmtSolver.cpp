@@ -235,10 +235,22 @@ SmtSolver::minimizeCore(const std::vector<TermRef> &Assumptions,
           Probe.push_back(Cur[J]);
       ++Spent;
       if (check(Probe) == SmtStatus::Unsat) {
-        std::vector<TermRef> Sub = unsatCore();
-        // unsatCore() preserves assumption order, so position I still
-        // points at the first not-yet-probed element.
-        Cur = std::move(Sub);
+        // Keep the probe's core members in Probe order. unsatCore() lists
+        // the failed assumption first and the rest in trail order, so
+        // adopting it as-is could move an unprobed element below I, where
+        // it would never be tested. The elements before I were probed
+        // (all necessary unless a probe came back Unknown); I becomes the
+        // number of them that survive.
+        const std::vector<TermRef> &Sub = unsatCore();
+        std::vector<TermRef> Next;
+        size_t NextI = 0;
+        for (size_t J = 0; J < Probe.size(); ++J)
+          if (std::find(Sub.begin(), Sub.end(), Probe[J]) != Sub.end()) {
+            Next.push_back(Probe[J]);
+            NextI += J < I;
+          }
+        Cur = std::move(Next);
+        I = NextI;
       } else {
         ++I;
       }

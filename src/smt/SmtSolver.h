@@ -87,12 +87,14 @@ public:
   /// combination is Unsat, shrinks the returned core by re-checking with
   /// one element deleted at a time until no single deletion keeps it Unsat.
   /// Each surviving probe's unsatCore() reseeds the candidate set, so
-  /// redundant elements drop in batches. Returns the minimized subset (in
-  /// the original assumption order). Returns \p Assumptions unchanged when
-  /// the initial check is Sat or Unknown, and a probe that returns Unknown
-  /// (budget/cancel) keeps its element — the result is always a set known
-  /// jointly Unsat with the assertions whenever the initial check was
-  /// Unsat. \p Probes (optional) reports how many check() calls were spent.
+  /// redundant elements drop in batches; the reseeded set keeps the probe's
+  /// order, so every element left is probed before the loop ends. Returns
+  /// the minimized subset (in the original assumption order). Returns
+  /// \p Assumptions unchanged when the initial check is Sat or Unknown, and
+  /// a probe that returns Unknown (budget/cancel) keeps its element — the
+  /// result is always a set known jointly Unsat with the assertions
+  /// whenever the initial check was Unsat. \p Probes (optional) reports how
+  /// many check() calls were spent.
   std::vector<TermRef> minimizeCore(const std::vector<TermRef> &Assumptions,
                                     unsigned *Probes = nullptr);
 

@@ -80,6 +80,16 @@ struct TermRefHash {
   size_t operator()(TermRef T) const { return T.Idx * 0x9e3779b9u; }
 };
 
+/// Order-sensitive hash of a list of terms (FNV-1a, one step per index).
+struct TermListHash {
+  size_t operator()(const std::vector<TermRef> &L) const {
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (TermRef T : L)
+      H = (H ^ T.Idx) * 0x100000001b3ull;
+    return static_cast<size_t>(H);
+  }
+};
+
 /// Immutable view of a node's children. The referenced array lives in the
 /// owning TermContext's kid arena (or, for probe keys during interning, on
 /// the caller's stack) — a KidList is a 16-byte span, so TermNode copies are
@@ -268,6 +278,20 @@ public:
   /// interning trace (used by determinism tests and diagnostics).
   size_t kidArenaBytes() const { return KidArena.bytesAllocated(); }
 
+  //===--------------------------------------------------------------------===
+  // Derived-result memos
+  //===--------------------------------------------------------------------===
+
+  /// Maps an ordered term list to a term list computed from it.
+  using TermListMemo =
+      std::unordered_map<std::vector<TermRef>, std::vector<TermRef>,
+                         TermListHash>;
+
+  /// Blocked-cube generalizations (itp/Interpolate.h): [A, l1, ..., ln] to
+  /// the sub-cube generalizeBlockedCube returned for A and that literal
+  /// list. Entries name this context's terms, so the context owns them.
+  TermListMemo &blockedCubeMemo() { return BlockedCubeMemo; }
+
 private:
   friend class TermBuilderAccess;
 
@@ -303,6 +327,7 @@ private:
   TermRef TrueRef, FalseRef;
   ResourceGauge *Gauge = nullptr;
   FaultInjector *Faults = nullptr;
+  TermListMemo BlockedCubeMemo;
 };
 
 } // namespace mucyc

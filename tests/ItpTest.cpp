@@ -7,9 +7,11 @@
 #include "itp/Interpolate.h"
 
 #include "smt/SmtSolver.h"
+#include "support/Error.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 using namespace mucyc;
@@ -132,3 +134,153 @@ TEST_P(ItpPropertyTest, ContractHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ItpPropertyTest, ::testing::Values(51u, 52u));
+
+//===----------------------------------------------------------------------===
+// Generalization memo
+//===----------------------------------------------------------------------===
+
+namespace {
+/// A = (y = 2x /\ x >= 0 /\ 3 | z /\ z <= y), which blocks both cubes;
+/// the divisibility atom gives every solver built on A fresh witnesses.
+struct MemoInputs {
+  TermRef A;
+  std::vector<TermRef> Cube; ///< y <= -4 /\ y >= -100 /\ z >= 5.
+  TermRef B;                 ///< not(Cube) /\ not(y <= -1 /\ z >= 0).
+};
+
+MemoInputs memoInputs(TermContext &C) {
+  TermRef X = C.mkVar("x", Sort::Int), Y = C.mkVar("y", Sort::Int),
+          Z = C.mkVar("z", Sort::Int);
+  MemoInputs In;
+  In.A = C.mkAnd({C.mkEq(Y, C.mkMul(Rational(2), X)),
+                  C.mkGe(X, C.mkIntConst(0)), C.mkDivides(BigInt(3), Z),
+                  C.mkLe(Z, Y)});
+  In.Cube = {C.mkLe(Y, C.mkIntConst(-4)), C.mkGe(Y, C.mkIntConst(-100)),
+             C.mkGe(Z, C.mkIntConst(5))};
+  In.B = C.mkAnd(C.mkNot(C.mkAnd(In.Cube)),
+                 C.mkNot(C.mkAnd(C.mkLe(Y, C.mkIntConst(-1)),
+                                 C.mkGe(Z, C.mkIntConst(0)))));
+  return In;
+}
+
+std::vector<std::string> render(const TermContext &C,
+                                const std::vector<TermRef> &Ts) {
+  std::vector<std::string> Out;
+  for (TermRef T : Ts)
+    Out.push_back(C.toString(T));
+  return Out;
+}
+
+/// True when \p F raises an InvariantViolation.
+bool raisesInvariantViolation(const std::function<void()> &F) {
+  try {
+    F();
+  } catch (const MucycError &E) {
+    return E.code() == ErrorCode::InvariantViolation;
+  }
+  return false;
+}
+} // namespace
+
+TEST(ItpMemoTest, RepeatedGeneralizationBuildsNothing) {
+  TermContext C;
+  MemoInputs In = memoInputs(C);
+  ResourceGauge G;
+  C.setResourceGauge(&G);
+  std::vector<TermRef> First = generalizeBlockedCube(C, In.A, In.Cube);
+  size_t Terms = C.numTerms();
+  uint64_t Used = G.used();
+  EXPECT_EQ(generalizeBlockedCube(C, In.A, In.Cube), First);
+  EXPECT_EQ(C.numTerms(), Terms);
+  EXPECT_EQ(G.used(), Used);
+  C.setResourceGauge(nullptr);
+}
+
+TEST(ItpMemoTest, RepeatedInterpolationBuildsNothing) {
+  TermContext C;
+  MemoInputs In = memoInputs(C);
+  ResourceGauge G;
+  C.setResourceGauge(&G);
+  TermRef First = interpolate(C, In.A, In.B, ItpMode::CubeGeneralize);
+  size_t Terms = C.numTerms();
+  uint64_t Used = G.used();
+  EXPECT_EQ(interpolate(C, In.A, In.B, ItpMode::CubeGeneralize), First);
+  EXPECT_EQ(C.numTerms(), Terms);
+  EXPECT_EQ(G.used(), Used);
+  C.setResourceGauge(nullptr);
+  expectInterpolant(C, In.A, In.B, First);
+}
+
+TEST(ItpMemoTest, HitsRenderLikeAFreshContext) {
+  TermContext C;
+  MemoInputs In = memoInputs(C);
+  generalizeBlockedCube(C, In.A, In.Cube);
+  interpolate(C, In.A, In.B, ItpMode::CubeGeneralize);
+  std::vector<TermRef> Small = generalizeBlockedCube(C, In.A, In.Cube);
+  TermRef Theta = interpolate(C, In.A, In.B, ItpMode::CubeGeneralize);
+
+  TermContext Fresh;
+  MemoInputs FreshIn = memoInputs(Fresh);
+  EXPECT_EQ(render(C, Small),
+            render(Fresh, generalizeBlockedCube(Fresh, FreshIn.A,
+                                                FreshIn.Cube)));
+  EXPECT_EQ(C.toString(Theta),
+            Fresh.toString(interpolate(Fresh, FreshIn.A, FreshIn.B,
+                                       ItpMode::CubeGeneralize)));
+}
+
+TEST(ItpMemoTest, ThrowingCallStoresNothing) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int);
+  TermRef A = C.mkGe(X, C.mkIntConst(0));
+  std::vector<TermRef> Cube{C.mkGe(X, C.mkIntConst(5))}; // Not blocked.
+  EXPECT_TRUE(
+      raisesInvariantViolation([&] { generalizeBlockedCube(C, A, Cube); }));
+  EXPECT_TRUE(C.blockedCubeMemo().empty());
+  EXPECT_TRUE(
+      raisesInvariantViolation([&] { generalizeBlockedCube(C, A, Cube); }));
+}
+
+//===----------------------------------------------------------------------===
+// The Itp precondition
+//===----------------------------------------------------------------------===
+
+TEST(ItpPreconditionTest, EveryModeRaisesWhenANotImpliesB) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int);
+  TermRef A = C.mkAnd(C.mkGe(X, C.mkIntConst(0)), C.mkLe(X, C.mkIntConst(8)));
+  TermRef B = C.mkGe(X, C.mkIntConst(5)); // x = 0 refutes A => B.
+  for (ItpMode Mode : {ItpMode::CubeGeneralize, ItpMode::QeStrongest,
+                       ItpMode::WeakestB})
+    EXPECT_TRUE(raisesInvariantViolation([&] { interpolate(C, A, B, Mode); }))
+        << "mode " << static_cast<int>(Mode);
+}
+
+TEST(ItpPreconditionTest, CubeGeneralizeRaisesOnARefutedNegatedCube) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int);
+  TermRef A = C.mkAnd(C.mkGe(X, C.mkIntConst(0)), C.mkLe(X, C.mkIntConst(8)));
+  // The first conjunct holds; x = 6 refutes the second.
+  TermRef B = C.mkAnd(C.mkNot(C.mkAnd(C.mkLe(X, C.mkIntConst(-1)),
+                                      C.mkGe(X, C.mkIntConst(-9)))),
+                      C.mkNot(C.mkAnd(C.mkGe(X, C.mkIntConst(5)),
+                                      C.mkLe(X, C.mkIntConst(10)))));
+  EXPECT_TRUE(raisesInvariantViolation(
+      [&] { interpolate(C, A, B, ItpMode::CubeGeneralize); }));
+}
+
+TEST(ItpPreconditionTest, CubeGeneralizeRaisesOnARefutedOtherConjunct) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int), Y = C.mkVar("y", Sort::Int);
+  TermRef A = C.mkAnd(C.mkGe(X, C.mkIntConst(0)), C.mkLe(X, C.mkIntConst(8)));
+  // The negated cube holds; x = 3 refutes the disjunction, which is not the
+  // negation of a cube (one disjunct is a conjunction).
+  TermRef NotACube =
+      C.mkOr(C.mkGe(X, C.mkIntConst(5)),
+             C.mkAnd(C.mkLe(X, C.mkIntConst(1)), C.mkGe(Y, C.mkIntConst(0))));
+  TermRef B = C.mkAnd(C.mkNot(C.mkAnd(C.mkLe(X, C.mkIntConst(-1)),
+                                      C.mkGe(X, C.mkIntConst(-9)))),
+                      NotACube);
+  EXPECT_TRUE(raisesInvariantViolation(
+      [&] { interpolate(C, A, B, ItpMode::CubeGeneralize); }));
+}
