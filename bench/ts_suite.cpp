@@ -20,8 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "solver/ChcSolve.h"
-#include "ts/Btor2.h"
+#include "runtime/Request.h"
 
 #include <cstdio>
 #include <cstring>
@@ -171,15 +170,13 @@ int main(int Argc, char **Argv) {
   double Wall = 0;
   std::string Json;
   for (const Row &B : Rows) {
-    TermContext Ctx;
-    Btor2Result BR = parseBtor2(Ctx, B.Text);
-    if (!BR.Ok) {
+    SolveResponse R = solveRequest(SolveRequest::fromText(
+        B.Text, *Opts, /*Preprocess=*/true, InputFormat::Btor2));
+    if (R.Error.Code == ErrorCode::InputError) {
       std::fprintf(stderr, "%s: generated text failed to parse: %s\n",
-                   B.Name.c_str(), BR.Error.c_str());
+                   B.Name.c_str(), R.Error.Detail.c_str());
       return 1;
     }
-    ChcSystem Sys = BR.Ts->encodeChc();
-    SolverResult R = solveChcSystem(Sys, *Opts);
     Wall += R.Seconds;
     if (R.Status == B.Expected)
       ++Solved;

@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Quickstart: build a CHC system with the programmatic API, solve it with
-// the paper's flagship configuration Ret(T, MBP(1)) (Algorithm 5 with
-// counterexample accumulation and the Remark 16 snapshot refresh), and
-// inspect the result.
+// Quickstart: build a CHC system with the programmatic API, solve it through
+// the runtime's one job API (SolveRequest / solveRequest) with the paper's
+// flagship configuration Ret(T, MBP(1)) (Algorithm 5 with counterexample
+// accumulation and the Remark 16 snapshot refresh), and inspect the result.
 //
 // The system is the classic bounded counter:
 //
@@ -17,17 +17,18 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "chc/Chc.h"
-#include "solver/ChcSolve.h"
+#include "chc/Preprocess.h"
+#include "runtime/Request.h"
 
 #include <cstdio>
+#include <optional>
 
 using namespace mucyc;
 
-int main() {
-  TermContext Ctx;
+namespace {
 
-  // 1. Declare the predicate and build the clauses.
+/// Builds the bounded counter in \p Ctx.
+ChcSystem counterSystem(TermContext &Ctx) {
   ChcSystem Sys(Ctx);
   PredId P = Sys.addPred("P", {Sort::Int});
   TermRef X = Ctx.mkVar("x", Sort::Int);
@@ -49,18 +50,34 @@ int main() {
   Query.Body.push_back(PredApp{P, {X}});
   Query.Constraint = Ctx.mkGt(X, Ctx.mkIntConst(5));
   Sys.addClause(Query);
+  return Sys;
+}
 
-  std::printf("System:\n%s\n", Sys.toString().c_str());
+} // namespace
+
+int main() {
+  // 1. The request solves in a private term context of its own, so its
+  //    builder constructs the clauses there, runs the frontend (preprocess,
+  //    normalize) and keeps what solution lifting needs.
+  std::optional<ChcSystem> Orig, Work;
+  std::optional<NormalizeResult> NR;
+  auto Build = [&](TermContext &Ctx) {
+    Orig.emplace(counterSystem(Ctx));
+    Work.emplace(preprocess(*Orig));
+    NR.emplace(normalize(*Work));
+    return NR->Sys;
+  };
 
   // 2. Pick a configuration (paper names work verbatim) and solve.
   SolverOptions Opts = *SolverOptions::parse("Ret(T,MBP(1))");
   Opts.TimeoutMs = 30000;
   Opts.VerifyResult = true; // Double-check the answer before returning it.
+  SolveResponse R = solveRequest(SolveRequest::fromBuilder(Build, Opts));
 
-  ChcSolution Solution;
-  SolverResult R = solveChcSystem(Sys, Opts, /*Preprocess=*/true, &Solution);
-
-  // 3. Inspect.
+  // 3. Inspect. The response keeps the context the system and the
+  //    certificate live in.
+  if (Orig)
+    std::printf("System:\n%s\n", Orig->toString().c_str());
   std::printf("status    : %s\n", chcStatusName(R.Status));
   std::printf("depth     : %d\n", R.Depth);
   std::printf("SMT checks: %llu, MBP calls: %llu, interpolations: %llu\n",
@@ -69,18 +86,20 @@ int main() {
               static_cast<unsigned long long>(R.Stats.ItpCalls));
 
   if (R.Status == ChcStatus::Sat) {
+    ChcSolution Solution = NR->liftSolution(*Work, R.Invariant);
     for (const auto &[Pred, Def] : Solution) {
-      std::printf("%s(", Sys.pred(Pred).Name.c_str());
+      std::printf("%s(", Orig->pred(Pred).Name.c_str());
       for (size_t I = 0; I < Def.Params.size(); ++I)
         std::printf("%s%s", I ? ", " : "",
-                    Ctx.varInfo(Def.Params[I]).Name.c_str());
-      std::printf(") := %s\n", Ctx.toString(Def.Body).c_str());
+                    R.Ctx->varInfo(Def.Params[I]).Name.c_str());
+      std::printf(") := %s\n", R.Ctx->toString(Def.Body).c_str());
     }
     std::printf("solution checks against all clauses: %s\n",
-                Sys.checkSolution(Solution) ? "yes" : "NO (bug!)");
+                Orig->checkSolution(Solution) ? "yes" : "NO (bug!)");
   } else if (R.Status == ChcStatus::Unsat) {
     std::printf("counterexample region: %s\n",
-                R.CexPiece.isValid() ? Ctx.toString(R.CexPiece).c_str() : "-");
+                R.CexPiece.isValid() ? R.Ctx->toString(R.CexPiece).c_str()
+                                     : "-");
   }
   return R.Status == ChcStatus::Sat ? 0 : 1;
 }

@@ -60,6 +60,9 @@
 # it interposes. Short fig2, btor2 and serve runs then pin the benchmark's
 # work digests, so a speed-up that moves any fixed-budget trajectory fails;
 # serve is the one that solves in the daemon's forked workers.
+# A source gate runs first: src/ may read no environment variable but
+# MUCYC_FORCE_HEAP (the forced-heap leg's knob), so no hidden switch can
+# change what the solver does without showing in a report.
 # Seed and instance count are fixed so CI failures replay locally with
 # exactly one command (printed on failure).
 set -eu
@@ -90,6 +93,16 @@ TS_SEED=20260808
 TS_N=200
 SHARE_BUDGET=300
 SHARE_PORTFOLIO="SpacerTS(fig1),Ret(T,MBP(1)),Yld(T,MBP(1))"
+
+echo "== source: no environment reads in src/ but MUCYC_FORCE_HEAP =="
+ENV_READS=$(grep -rnE '\b(secure_)?getenv\b|\benviron\b' src \
+            | grep -v 'getenv("MUCYC_FORCE_HEAP")' || true)
+if [ -n "$ENV_READS" ]; then
+  echo "$ENV_READS" >&2
+  echo "FAIL: src/ reads an environment variable other than" \
+       "MUCYC_FORCE_HEAP" >&2
+  exit 1
+fi
 
 echo "== configure ($BUILD) =="
 if [ "$ASAN" = 1 ]; then

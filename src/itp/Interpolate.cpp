@@ -18,8 +18,8 @@ std::vector<TermRef>
 mucyc::generalizeBlockedCube(TermContext &Ctx, TermRef A,
                              const std::vector<TermRef> &Lits) {
   // The result is a function of the hash-consed inputs alone (a fresh
-  // solver, fixed budgets, no cancel flag), so a repeated call is answered
-  // from the context's memo before any solver is built.
+  // solver, fixed budgets), so a repeated call is answered from the
+  // context's memo before any solver is built.
   std::vector<TermRef> Key;
   Key.reserve(Lits.size() + 1);
   Key.push_back(A);
@@ -28,30 +28,19 @@ mucyc::generalizeBlockedCube(TermContext &Ctx, TermRef A,
   if (auto It = Memo.find(Key); It != Memo.end())
     return It->second;
 
+  // minimizeCore's first check asks whether A blocks the cube; its
+  // deletion loop then shrinks that check's core.
   SmtSolver S(Ctx);
   S.assertFormula(A);
-  SmtStatus St = S.check(Lits);
-  if (St == SmtStatus::Unknown)
-    raiseError(ErrorCode::ResourceExhaustedSteps,
-               "lemma budget exhausted while checking a blocked cube");
-  MUCYC_INVARIANT(St == SmtStatus::Unsat, "cube is not blocked by A");
-  // Start from the solver's core, then greedily try to drop literals.
-  std::vector<TermRef> Core = S.unsatCore();
-  for (size_t I = 0; I < Core.size();) {
-    std::vector<TermRef> Trial;
-    Trial.reserve(Core.size() - 1);
-    for (size_t J = 0; J < Core.size(); ++J)
-      if (J != I)
-        Trial.push_back(Core[J]);
-    if (S.check(Trial) == SmtStatus::Unsat) {
-      // Adopt the (possibly even smaller) refreshed core.
-      Core = S.unsatCore();
-      // Restart scanning: indices shifted.
-      I = 0;
-      continue;
-    }
-    ++I;
-  }
+  std::vector<TermRef> Core = S.minimizeCore(Lits);
+  // A probe cut short by the cancel flag keeps its literal unproven, so a
+  // call that saw the flag throws rather than return (and store) a core
+  // that depends on when the flag was set.
+  if (S.minimizeStatus() == SmtStatus::Unknown || Ctx.cancelRequested())
+    SmtSolver::raiseUnknown(
+        Ctx, "lemma budget exhausted while checking a blocked cube");
+  MUCYC_INVARIANT(S.minimizeStatus() == SmtStatus::Unsat,
+                  "cube is not blocked by A");
   // Stored only once the deletion loop is done: a call that throws leaves
   // no entry behind.
   Memo.emplace(std::move(Key), Core);

@@ -21,8 +21,10 @@
 ///    queries look like, since queries are MBP outputs — is generalized by
 ///    unsat-core-guided literal dropping: find a minimal subcube c of the
 ///    blocked cube with A /\ c unsatisfiable and emit not(c). This is the
-///    classical PDR lemma generalization. Other conjuncts pass through
-///    unchanged (sound because A => B).
+///    classical PDR lemma generalization, and it is exactly
+///    SmtSolver::minimizeCore over the cube literals on a fresh solver
+///    asserting A. Other conjuncts pass through unchanged (sound because
+///    A => B).
 ///  * QeStrongest: the strongest interpolant, QE(exists (vars(A)\vars(B)). A).
 ///
 /// The precondition |= A => B is checked in every build and raises
@@ -34,10 +36,11 @@
 ///
 /// Generalizations are memoized on the TermContext (blockedCubeMemo()),
 /// keyed by A and the ordered cube literals. A generalization runs a fresh
-/// solver with fixed budgets and no cancel flag, so it is a function of its
-/// hash-consed inputs: a repeated call returns exactly what a rebuild would,
-/// skipping only the rebuild's gauge charges and the fresh witness
-/// variables of divisibility atoms. A call that throws stores nothing.
+/// solver with fixed budgets, so it is a function of its hash-consed
+/// inputs: a repeated call returns exactly what a rebuild would, skipping
+/// only the rebuild's gauge charges and the fresh witness variables of
+/// divisibility atoms. A call that throws stores nothing, and one that
+/// sees the context's cancel flag set throws Cancelled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,9 +63,12 @@ TermRef interpolate(TermContext &Ctx, TermRef A, TermRef B,
                     ItpMode Mode = ItpMode::CubeGeneralize);
 
 /// Generalizes a blocked cube: given |= A => not(/\ Lits), returns a subset
-/// S of Lits with |= A => not(/\ S), as small as greedy core-shrinking gets.
-/// Raises InvariantViolation when A does not block the cube. A repeated A
-/// and literal list is answered from Ctx.blockedCubeMemo().
+/// S of Lits with |= A => not(/\ S), shrunk by SmtSolver::minimizeCore
+/// until no single literal can be dropped. Raises InvariantViolation when
+/// A does not block the cube, Cancelled when the context's cancel flag is
+/// set, and ResourceExhaustedSteps when the first check runs out of
+/// budget. A repeated A and literal list is answered from
+/// Ctx.blockedCubeMemo().
 std::vector<TermRef> generalizeBlockedCube(TermContext &Ctx, TermRef A,
                                            const std::vector<TermRef> &Lits);
 

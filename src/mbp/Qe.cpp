@@ -8,7 +8,6 @@
 
 #include "mbp/Mbp.h"
 #include "smt/SmtSolver.h"
-#include "support/Error.h"
 
 using namespace mucyc;
 
@@ -24,8 +23,8 @@ TermRef mucyc::qeExists(TermContext &Ctx, const std::vector<VarId> &Elim,
   while (true) {
     SmtStatus St = Solver.check();
     if (St == SmtStatus::Unknown)
-      raiseError(ErrorCode::ResourceExhaustedSteps,
-                 "lemma budget exhausted during quantifier elimination");
+      SmtSolver::raiseUnknown(
+          Ctx, "lemma budget exhausted during quantifier elimination");
     if (St == SmtStatus::Unsat)
       break;
     TermRef Theta =

@@ -18,7 +18,6 @@ SolverOptions mucyc::degradeOptions(const SolverOptions &Base,
   // a blown budget may have poisoned) and halve the internal search
   // budgets so the retry fits in the remaining envelope.
   O.NoIncremental = true;
-  O.QueryCacheCap = 0;
   if (O.MaxRefineSteps)
     O.MaxRefineSteps = std::max<uint64_t>(1, O.MaxRefineSteps / 2);
   if (O.MaxDepth)

@@ -233,22 +233,12 @@ bool peerGone(int Fd) {
 std::string ServeDaemon::handleSolve(const WireMessage &M, int ConnFd) {
   Stats.Requests.fetch_add(1, std::memory_order_relaxed);
 
+  // The config names the engine shape; runtime knobs stay at the daemon's
+  // base values unless headers below override them.
   SolverOptions O = Opts.BaseOpts;
   std::string Config = M.header("config");
-  if (!Config.empty()) {
-    auto Parsed = SolverOptions::parse(Config);
-    if (!Parsed)
-      return errorFrame("unknown configuration '" + Config + "'");
-    // The config names the engine shape; runtime knobs stay at the
-    // daemon's base values unless headers below override them.
-    SolverOptions Base = O;
-    O = *Parsed;
-    O.MemLimitMb = Base.MemLimitMb;
-    O.MaxRetries = Base.MaxRetries;
-    O.NoIncremental = Base.NoIncremental;
-    O.VerifyResult = Base.VerifyResult;
-    O.MaxRefineSteps = Base.MaxRefineSteps;
-  }
+  if (!Config.empty() && !O.applyConfig(Config))
+    return errorFrame("unknown configuration '" + Config + "'");
   auto U64 = [&](const char *Key, uint64_t Default) -> uint64_t {
     std::string V = M.header(Key);
     return V.empty() ? Default : std::strtoull(V.c_str(), nullptr, 10);

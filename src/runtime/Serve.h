@@ -105,8 +105,11 @@ struct ServeOptions {
   unsigned Jobs = 0;
   /// Result-store directory; empty = in-memory tier only.
   std::string StoreDir;
-  /// Default SolverOptions for requests that send no "config" header; the
-  /// request's headers overlay this.
+  /// The daemon's SolverOptions, which every request's headers overlay: a
+  /// "config" header replaces only the engine shape
+  /// (SolverOptions::applyConfig), and the runtime knobs (isolation, hard
+  /// limits, chaos seed, budgets, ...) stay unless a header of their own
+  /// overrides them.
   SolverOptions BaseOpts;
   /// Deadline applied to requests that send no "deadline-ms" header
   /// (0 = none).

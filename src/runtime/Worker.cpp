@@ -121,8 +121,6 @@ WireMessage mucyc::encodeWorkerRequest(const SolveRequest &Req,
     M.Headers["no-incremental"] = "1";
   if (O.VerifyResult)
     M.Headers["verify"] = "1";
-  if (O.QueryCacheCap != 4096)
-    M.Headers["query-cache-cap"] = std::to_string(O.QueryCacheCap);
   if (Req.WantSolution)
     M.Headers["want-solution"] = "1";
   if (!TestCrash.empty())
@@ -156,8 +154,6 @@ SolveRequest decodeWorkerRequest(const WireMessage &M) {
   O.ChaosSeed = U64("chaos-seed");
   O.NoIncremental = M.header("no-incremental") == "1";
   O.VerifyResult = M.header("verify") == "1";
-  if (!M.header("query-cache-cap").empty())
-    O.QueryCacheCap = static_cast<unsigned>(U64("query-cache-cap"));
 
   InputFormat F = InputFormat::Auto;
   if (M.header("format") == "btor2")

@@ -7,34 +7,10 @@
 #include "smt/SatSolver.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-/// Optional operation log for record/replay debugging (MUCYC_SAT_LOG).
-FILE *satLog() {
-  static FILE *F = [] {
-    const char *Path = std::getenv("MUCYC_SAT_LOG");
-    return Path ? std::fopen(Path, "w") : nullptr;
-  }();
-  return F;
-}
-int nextSatId() {
-  // Atomic: solver instances are created concurrently by the runtime's
-  // worker threads.
-  static std::atomic<int> N{0};
-  return N.fetch_add(1, std::memory_order_relaxed);
-}
-} // namespace
 
 using namespace mucyc;
 
 uint32_t SatSolver::newVar() {
-  if (LogId < 0)
-    LogId = nextSatId();
-  if (FILE *L = satLog())
-    std::fprintf(L, "%d v\n", LogId);
   uint32_t V = static_cast<uint32_t>(Assigns.size());
   Assigns.push_back(LBool::Undef);
   Phase.push_back(LBool::False);
@@ -145,14 +121,6 @@ void SatSolver::attachClause(ClauseIdx Idx) {
 }
 
 bool SatSolver::addClause(std::vector<SatLit> Lits) {
-  if (std::getenv("MUCYC_VERIFY_LEARNED"))
-    DebugInputs.push_back(Lits);
-  if (FILE *L = satLog()) {
-    std::fprintf(L, "%d c", LogId);
-    for (SatLit Lit : Lits)
-      std::fprintf(L, " %u", Lit.X);
-    std::fprintf(L, "\n");
-  }
   if (Unsat)
     return false;
   assert(TrailLims.empty() && "addClause only at decision level 0");
@@ -401,15 +369,6 @@ void SatSolver::reduceLearned() {
 //===----------------------------------------------------------------------===
 
 SatSolver::Result SatSolver::solve(const std::vector<SatLit> &Assumptions) {
-  Result R = solveImpl(Assumptions);
-  if (FILE *L = satLog()) {
-    std::fprintf(L, "%d s %d\n", LogId, static_cast<int>(R));
-    std::fflush(L);
-  }
-  return R;
-}
-
-SatSolver::Result SatSolver::solveImpl(const std::vector<SatLit> &Assumptions) {
   ConflictCore.clear();
   if (Unsat)
     return Result::Unsat;
@@ -471,8 +430,6 @@ SatSolver::Result SatSolver::solveImpl(const std::vector<SatLit> &Assumptions) {
       }
       int BtLevel = 0;
       analyze(Confl, Learned, BtLevel);
-      if (std::getenv("MUCYC_VERIFY_LEARNED"))
-        verifyLearned(Learned);
       // Never backjump into the assumption prefix with a learned clause
       // whose asserting literal would conflict there; clamp and re-decide.
       backtrack(std::max(BtLevel, 0));
@@ -527,64 +484,4 @@ SatSolver::Result SatSolver::solveImpl(const std::vector<SatLit> &Assumptions) {
     TrailLims.push_back(Trail.size());
     enqueue(Next, NoReason);
   }
-}
-
-void SatSolver::replayInto(SatSolver &Other) const {
-  while (Other.numVars() < numVars())
-    Other.newVar();
-  // Root-level units are facts (they may have come from clauses that were
-  // simplified away at add time).
-  for (size_t I = 0; I < Trail.size() && (TrailLims.empty() ||
-                                          I < TrailLims[0]);
-       ++I)
-    Other.addClause({Trail[I]});
-  for (const Clause &C : Clauses)
-    if (!C.Learned)
-      Other.addClause(C.Lits);
-}
-
-std::vector<std::vector<SatLit>> SatSolver::originalClauses() const {
-  std::vector<std::vector<SatLit>> Out;
-  for (size_t I = 0;
-       I < Trail.size() && (TrailLims.empty() || I < TrailLims[0]); ++I)
-    Out.push_back({Trail[I]});
-  for (const Clause &C : Clauses)
-    if (!C.Learned)
-      Out.push_back(C.Lits);
-  return Out;
-}
-
-void SatSolver::verifyLearned(const std::vector<SatLit> &Learned) {
-  static bool InVerify = false;
-  if (InVerify)
-    return;
-  InVerify = true;
-  SatSolver F;
-  while (F.numVars() < numVars())
-    F.newVar();
-  bool Dead = false;
-  for (const auto &C : DebugInputs)
-    if (!F.addClause(C)) {
-      Dead = true;
-      break;
-    }
-  if (!Dead)
-    for (SatLit L : Learned)
-      if (!F.addClause({~L})) {
-        Dead = true;
-        break;
-      }
-  if (!Dead && F.solve() == Result::Sat) {
-    std::fprintf(stderr, "[sat] BOGUS learned clause:");
-    for (SatLit L : Learned)
-      std::fprintf(stderr, " %s%u", L.negated() ? "-" : "", L.var());
-    std::fprintf(stderr, "\n[sat] trail/levels at conflict:");
-    for (SatLit L : Trail)
-      std::fprintf(stderr, " %s%u@%d%s", L.negated() ? "-" : "", L.var(),
-                   level(L.var()),
-                   Reasons[L.var()] == NoReason ? "*" : "");
-    std::fprintf(stderr, "\n");
-    std::abort();
-  }
-  InVerify = false;
 }

@@ -79,11 +79,6 @@ public:
   /// Solves under the given assumptions.
   Result solve(const std::vector<SatLit> &Assumptions = {});
 
-private:
-  Result solveImpl(const std::vector<SatLit> &Assumptions);
-
-public:
-
   /// After Sat: value of a variable (never Undef for decision vars used in
   /// clauses; isolated vars default to False).
   bool modelValue(uint32_t Var) const {
@@ -109,23 +104,6 @@ public:
     for (const Clause &C : Clauses)
       N += C.Learned ? 1 : 0;
     return N;
-  }
-
-  /// Debugging: replays every original (non-learned) clause plus root-level
-  /// units into \p Other. Used by self-check harnesses to compare an
-  /// incremental solver against a fresh one.
-  void replayInto(SatSolver &Other) const;
-
-  /// Debugging: the original clause set (root units + non-learned clauses).
-  std::vector<std::vector<SatLit>> originalClauses() const;
-
-  /// Debugging: the literals currently fixed at decision level 0.
-  std::vector<SatLit> rootUnits() const {
-    std::vector<SatLit> Out;
-    for (size_t I = 0;
-         I < Trail.size() && (TrailLims.empty() || I < TrailLims[0]); ++I)
-      Out.push_back(Trail[I]);
-    return Out;
   }
 
 private:
@@ -201,16 +179,6 @@ private:
   uint64_t Conflicts = 0, Decisions = 0, Propagations = 0;
   const std::atomic<bool> *CancelFlag = nullptr;
   ResourceGauge *Gauge = nullptr;
-
-public:
-  /// Debugging: instance tag used by the MUCYC_SAT_LOG record/replay.
-  int LogId = -1;
-
-private:
-  /// Shadow copy of all input clauses (pre-simplification); only populated
-  /// when MUCYC_VERIFY_LEARNED is set.
-  std::vector<std::vector<SatLit>> DebugInputs;
-  void verifyLearned(const std::vector<SatLit> &Learned);
 };
 
 } // namespace mucyc

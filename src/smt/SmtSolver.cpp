@@ -7,20 +7,8 @@
 #include "smt/SmtSolver.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace mucyc;
-
-#ifndef NDEBUG
-namespace {
-/// MUCYC_VERIFY_CORES, read once per process.
-bool verifyCores() {
-  static const bool On = std::getenv("MUCYC_VERIFY_CORES") != nullptr;
-  return On;
-}
-} // namespace
-#endif
 
 TermRef SmtSolver::eliminateDivides(TermRef F, unsigned Depth) {
   // Builders keep formulas flat (and/or splice their kids), so legitimate
@@ -109,16 +97,15 @@ void SmtSolver::pop() {
   Scopes.pop_back();
 }
 
-void SmtSolver::setCancelFlag(const std::atomic<bool> *Flag) {
-  CancelFlag = Flag;
-  Sat.setCancelFlag(Flag);
-  Checker.setCancelFlag(Flag);
-}
-
 SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
   Core.clear();
   if (TriviallyUnsat)
     return SmtStatus::Unsat;
+  // Whatever flag the context carries now governs this check, down to the
+  // CDCL core and the theory layer.
+  const std::atomic<bool> *Cancel = Ctx.cancelFlag();
+  Sat.setCancelFlag(Cancel);
+  Checker.setCancelFlag(Cancel);
 
   // Assume the activation literal of every open scope, then the user
   // assumptions. Core extraction below filters through AsmMap, so
@@ -143,7 +130,7 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
   std::vector<TheoryLit> Lits;
   std::vector<SatLit> LitSat;
   for (uint64_t Iter = 0; Iter < LemmaBudget; ++Iter) {
-    if (CancelFlag && CancelFlag->load(std::memory_order_relaxed))
+    if (Cancel && Cancel->load(std::memory_order_relaxed))
       return SmtStatus::Unknown;
     SatSolver::Result SatRes = Sat.solve(AsmLits);
     if (SatRes == SatSolver::Result::Interrupted)
@@ -183,25 +170,6 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
       Blocking.reserve(Out.Core.size());
       for (size_t I : Out.Core)
         Blocking.push_back(~LitSat[I]);
-#ifndef NDEBUG
-      if (verifyCores()) {
-        static bool InVerify = false;
-        if (!InVerify) {
-          InVerify = true;
-          std::vector<TermRef> CoreTerms;
-          for (size_t I : Out.Core)
-            CoreTerms.push_back(Lits[I].Pos ? Lits[I].Atom
-                                            : Ctx.mkNot(Lits[I].Atom));
-          if (quickCheck(Ctx, CoreTerms)) {
-            std::fprintf(stderr, "[smt] BOGUS theory core:\n");
-            for (TermRef T : CoreTerms)
-              std::fprintf(stderr, "  %s\n", Ctx.toString(T).c_str());
-            assert(false && "satisfiable theory core");
-          }
-          InVerify = false;
-        }
-      }
-#endif
       if (!Sat.addClause(std::move(Blocking))) {
         TriviallyUnsat = true;
         return SmtStatus::Unsat;
@@ -220,40 +188,35 @@ SmtSolver::minimizeCore(const std::vector<TermRef> &Assumptions,
                         unsigned *Probes) {
   unsigned Spent = 1;
   std::vector<TermRef> Cur = Assumptions;
-  if (check(Cur) == SmtStatus::Unsat) {
+  MinimizeStatus = check(Cur);
+  if (MinimizeStatus == SmtStatus::Unsat) {
     // Seed from the solver's own core — already a (not necessarily
     // minimal) subset.
     Cur = unsatCore();
-    // Deletion loop: drop one element; if the rest stays Unsat, the
-    // element is permanently redundant and the probe's core reseeds the
-    // working set. A Sat or Unknown probe puts the element back.
+    std::vector<TermRef> Necessary;
     for (size_t I = 0; I < Cur.size();) {
+      if (std::find(Necessary.begin(), Necessary.end(), Cur[I]) !=
+          Necessary.end()) {
+        ++I;
+        continue;
+      }
       std::vector<TermRef> Probe;
       Probe.reserve(Cur.size() - 1);
       for (size_t J = 0; J < Cur.size(); ++J)
         if (J != I)
           Probe.push_back(Cur[J]);
       ++Spent;
-      if (check(Probe) == SmtStatus::Unsat) {
-        // Keep the probe's core members in Probe order. unsatCore() lists
-        // the failed assumption first and the rest in trail order, so
-        // adopting it as-is could move an unprobed element below I, where
-        // it would never be tested. The elements before I were probed
-        // (all necessary unless a probe came back Unknown); I becomes the
-        // number of them that survive.
-        const std::vector<TermRef> &Sub = unsatCore();
-        std::vector<TermRef> Next;
-        size_t NextI = 0;
-        for (size_t J = 0; J < Probe.size(); ++J)
-          if (std::find(Sub.begin(), Sub.end(), Probe[J]) != Sub.end()) {
-            Next.push_back(Probe[J]);
-            NextI += J < I;
-          }
-        Cur = std::move(Next);
-        I = NextI;
-      } else {
-        ++I;
+      SmtStatus St = check(Probe);
+      if (St == SmtStatus::Unsat) {
+        // Every element dropped here is redundant; the scan restarts on
+        // the (possibly even smaller) refreshed core.
+        Cur = unsatCore();
+        I = 0;
+        continue;
       }
+      if (St == SmtStatus::Sat)
+        Necessary.push_back(Cur[I]);
+      ++I;
     }
   }
   if (Probes)
@@ -275,11 +238,8 @@ std::optional<Model> SmtSolver::quickCheck(TermContext &Ctx,
   for (TermRef F : Conj)
     S.assertFormula(F);
   SmtStatus St = S.check();
-  // quickCheck has no in-band Unknown: a blown lemma budget here is a
-  // recoverable resource trip, not a programmer error.
   if (St == SmtStatus::Unknown)
-    raiseError(ErrorCode::ResourceExhaustedSteps,
-               "lemma budget exhausted in quickCheck");
+    raiseUnknown(Ctx, "lemma budget exhausted in quickCheck");
   if (St == SmtStatus::Sat)
     return S.model();
   return std::nullopt;
@@ -291,4 +251,10 @@ bool SmtSolver::implies(TermContext &Ctx, TermRef A, TermRef B) {
 
 bool SmtSolver::equivalent(TermContext &Ctx, TermRef F, TermRef G) {
   return implies(Ctx, F, G) && implies(Ctx, G, F);
+}
+
+void SmtSolver::raiseUnknown(const TermContext &Ctx, const char *Detail) {
+  if (Ctx.cancelRequested())
+    raiseError(ErrorCode::Cancelled, "cancelled during SMT check");
+  raiseError(ErrorCode::ResourceExhaustedSteps, Detail);
 }

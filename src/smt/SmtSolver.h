@@ -21,7 +21,6 @@
 #include "smt/SatSolver.h"
 #include "smt/TheoryLia.h"
 
-#include <atomic>
 #include <optional>
 
 namespace mucyc {
@@ -46,13 +45,18 @@ enum class SmtStatus { Sat, Unsat, Unknown };
 /// interrupted by the cancel flag (or budget) returns Unknown with the CDCL
 /// core backtracked to the root and no scope bookkeeping touched, so the
 /// scope stack stays usable afterwards.
+///
+/// Governance comes from the TermContext, so every solver an attempt
+/// builds, pooled or throwaway, is governed alike: the resource gauge is
+/// picked up at construction, the fault injector meters the context's
+/// allocations, and the cancel flag is read at each check().
 class SmtSolver {
 public:
   explicit SmtSolver(TermContext &Ctx)
       : Ctx(Ctx), Enc(Ctx, Sat), Checker(Ctx) {
     // One gauge per solving attempt: whatever is installed on the term
     // context also meters this solver's CDCL clause database and simplex
-    // tableaus. Pool-created and throwaway solvers alike pick it up here.
+    // tableaus.
     if (ResourceGauge *G = Ctx.resourceGauge()) {
       Sat.setResourceGauge(G);
       Checker.setResourceGauge(G);
@@ -72,7 +76,9 @@ public:
   size_t numScopes() const { return Scopes.size(); }
 
   /// Checks satisfiability of the assertions plus \p Assumptions (each a
-  /// Boolean term).
+  /// Boolean term). Returns Unknown once the context's cancel flag is set:
+  /// the DPLL(T) lemma loop, the CDCL core and the simplex/branch-and-bound
+  /// theory layer all poll it.
   SmtStatus check(const std::vector<TermRef> &Assumptions = {});
 
   /// After Sat: the model.
@@ -82,21 +88,25 @@ public:
   /// jointly inconsistent with the assertions.
   const std::vector<TermRef> &unsatCore() const { return Core; }
 
-  /// Deletion-based core minimization (MUS-style) over check()/unsatCore():
-  /// checks \p Assumptions against the current assertions and, when the
-  /// combination is Unsat, shrinks the returned core by re-checking with
-  /// one element deleted at a time until no single deletion keeps it Unsat.
-  /// Each surviving probe's unsatCore() reseeds the candidate set, so
-  /// redundant elements drop in batches; the reseeded set keeps the probe's
-  /// order, so every element left is probed before the loop ends. Returns
-  /// the minimized subset (in the original assumption order). Returns
-  /// \p Assumptions unchanged when the initial check is Sat or Unknown, and
-  /// a probe that returns Unknown (budget/cancel) keeps its element — the
-  /// result is always a set known jointly Unsat with the assertions
-  /// whenever the initial check was Unsat. \p Probes (optional) reports how
-  /// many check() calls were spent.
+  /// Deletion-based core minimization (MUS-style) over check()/unsatCore(),
+  /// the one minimizer every caller shares: checks \p Assumptions against
+  /// the current assertions and, when the combination is Unsat, shrinks the
+  /// solver's core until no single deletion keeps it Unsat. The loop probes
+  /// the current set with one element deleted at a time, front to back.
+  /// When a probe is Unsat, its unsatCore() (in the solver's order) becomes
+  /// the current set and the scan restarts from the front; a Sat probe
+  /// proves its element necessary, and a proven element is never probed
+  /// again (dropping assumptions only weakens a query, so it stays
+  /// necessary in every subset). A probe that returns Unknown
+  /// (budget/cancel) keeps its element unproven. Returns the minimized
+  /// subset in the original assumption order, or \p Assumptions unchanged
+  /// when the initial check is Sat or Unknown; minimizeStatus() tells which.
+  /// \p Probes (optional) reports how many check() calls were spent.
   std::vector<TermRef> minimizeCore(const std::vector<TermRef> &Assumptions,
                                     unsigned *Probes = nullptr);
+
+  /// Status of the initial check of the last minimizeCore() call.
+  SmtStatus minimizeStatus() const { return MinimizeStatus; }
 
   /// Debugging access to the propositional core (used by self-check
   /// harnesses and tests).
@@ -112,18 +122,12 @@ public:
   /// blocking clauses) before returning Unknown.
   void setLemmaBudget(uint64_t B) { LemmaBudget = B; }
 
-  /// Cooperative cancellation: when \p Flag is non-null, the DPLL(T) lemma
-  /// loop, the CDCL core, and the simplex/branch-and-bound theory layer all
-  /// poll it and return Unknown once it is set. The pointee must outlive
-  /// every subsequent check().
-  void setCancelFlag(const std::atomic<bool> *Flag);
-
   //===--------------------------------------------------------------------===
   // One-shot conveniences
   //===--------------------------------------------------------------------===
 
   /// Satisfiability of a conjunction; returns the model if Sat, nullopt if
-  /// Unsat. Asserts on Unknown (callers control budgets via instances).
+  /// Unsat. Raises on Unknown (raiseUnknown()).
   static std::optional<Model> quickCheck(TermContext &Ctx,
                                          const std::vector<TermRef> &Conj);
 
@@ -132,6 +136,13 @@ public:
 
   /// Is \p F equivalent to \p G?
   static bool equivalent(TermContext &Ctx, TermRef F, TermRef G);
+
+  /// Raises for a check on \p Ctx that answered Unknown where the caller
+  /// has no in-band Unknown: Cancelled when the context's cancel flag is
+  /// set (final), otherwise ResourceExhaustedSteps with \p Detail
+  /// (retryable).
+  [[noreturn]] static void raiseUnknown(const TermContext &Ctx,
+                                        const char *Detail);
 
 private:
   /// Replaces divisibility atoms by remainder-variable equalities, asserting
@@ -161,7 +172,7 @@ private:
   std::vector<TermRef> Core;
   std::vector<Scope> Scopes;
   uint64_t LemmaBudget = 2000000;
-  const std::atomic<bool> *CancelFlag = nullptr;
+  SmtStatus MinimizeStatus = SmtStatus::Unknown;
   std::unordered_map<uint32_t, TermRef> DividesRewrite; // Atom -> (r = 0).
   bool TriviallyUnsat = false;
 };

@@ -32,18 +32,10 @@
 #include "smt/Simplex.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace mucyc;
 
 namespace {
-
-/// MUCYC_DEBUG_ARITH, read once per process.
-bool debugArith() {
-  static const bool On = std::getenv("MUCYC_DEBUG_ARITH") != nullptr;
-  return On;
-}
 
 /// Internal linear constraint over "local" variables: E + C <rel> 0.
 struct Constraint {
@@ -789,10 +781,6 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
 
     IntStatus St = IS.bnb(IntCons, IntValues);
     if (St == IntStatus::Unknown) {
-      if (debugArith())
-        std::fprintf(stderr, "[arith] bnb budget exceeded; omega fallback "
-                             "(%zu constraints)\n",
-                     IntCons.size());
       IntValues.clear();
       St = IS.omega(std::move(IntCons), IntValues);
     }
@@ -816,10 +804,6 @@ ArithChecker::Outcome ArithChecker::check(const std::vector<TheoryLit> &Lits) {
       for (const auto &[V, Cf] : C.E)
         S += Cf * IntValues.valueOr0(V);
       bool Holds = C.R == Constraint::Eq ? S.isZero() : S.sgn() <= 0;
-      if (!Holds && debugArith())
-        std::fprintf(stderr, "[arith] witness violates constraint (rel=%d, "
-                             "residual=%s)\n",
-                     static_cast<int>(C.R), S.toString().c_str());
       MUCYC_INVARIANT(Holds, "integer witness violates an input constraint");
     }
 #endif

@@ -6,7 +6,6 @@
 
 #include "solver/ChcSolve.h"
 
-#include "chc/Preprocess.h"
 #include "mbp/Qe.h"
 #include "solver/Refiner.h"
 #include "solver/Share.h"
@@ -117,20 +116,22 @@ SolverResult ChcSolver::solveInductive() {
 }
 
 namespace {
-/// Installs the run's resource gauge and fault injector on the term context
-/// for the duration of one solving attempt, uninstalling on every exit path
-/// (the gauge lives on the solve() stack frame; the context outlives it).
+/// Installs the run's resource gauge, fault injector and cancel flag on the
+/// term context for the duration of one solving attempt, uninstalling on
+/// every exit path (the gauge lives on the solve() stack frame; the context
+/// outlives it).
 struct GovernanceScope {
-  GovernanceScope(TermContext &F, ResourceGauge *G, FaultInjector *FI)
+  GovernanceScope(TermContext &F, ResourceGauge *G, FaultInjector *FI,
+                  const std::atomic<bool> *Cancel)
       : F(F) {
-    if (G)
-      F.setResourceGauge(G);
-    if (FI)
-      F.setFaultInjector(FI);
+    F.setResourceGauge(G);
+    F.setFaultInjector(FI);
+    F.setCancelFlag(Cancel);
   }
   ~GovernanceScope() {
     F.setResourceGauge(nullptr);
     F.setFaultInjector(nullptr);
+    F.setCancelFlag(nullptr);
   }
   TermContext &F;
 };
@@ -142,9 +143,10 @@ SolverResult ChcSolver::solve() {
 
   // Resource governance for this attempt. The gauge meters cumulative
   // allocation (term nodes, CDCL clauses, simplex rows) against MemLimitMb;
-  // the injector fires seed-derived deterministic faults. Both are
-  // installed on the context so every solver the attempt creates inherits
-  // them, and uninstalled before verification/lifting below.
+  // the injector fires seed-derived deterministic faults; the cancel flag
+  // stops every SMT check. All three are installed on the context so every
+  // solver the attempt creates inherits them, and uninstalled before
+  // verification/lifting below.
   ResourceGauge Gauge(Opts.MemLimitMb << 20);
   FaultInjector SeededFaults;
   if (!Opts.Faults && Opts.ChaosSeed) {
@@ -152,7 +154,8 @@ SolverResult ChcSolver::solve() {
     Opts.Faults = &SeededFaults;
   }
   {
-    GovernanceScope Scope(F, Opts.MemLimitMb ? &Gauge : nullptr, Opts.Faults);
+    GovernanceScope Scope(F, Opts.MemLimitMb ? &Gauge : nullptr, Opts.Faults,
+                          Opts.CancelFlag);
     try {
       switch (Opts.Engine) {
       case EngineKind::SpacerTs:
@@ -197,20 +200,6 @@ SolverResult ChcSolver::solve() {
       R.VerifyNote = std::string(verifyRuleName(Diag.Failed)) + ": " +
                      Diag.Message;
     }
-  }
-  return R;
-}
-
-SolverResult mucyc::solveChcSystem(ChcSystem &Sys, const SolverOptions &Opts,
-                                   bool Preprocess, ChcSolution *SolutionOut) {
-  ChcSystem Work = Preprocess ? preprocess(Sys) : Sys;
-  NormalizeResult NR = normalize(Work);
-  ChcSolver Solver(Sys.ctx(), NR.Sys, Opts);
-  SolverResult R = Solver.solve();
-  if (R.Status == ChcStatus::Sat && SolutionOut) {
-    // Lift through the preprocessed system's layout; predicates eliminated
-    // by preprocessing have no definition here (they were resolved away).
-    *SolutionOut = NR.liftSolution(Work, R.Invariant);
   }
   return R;
 }

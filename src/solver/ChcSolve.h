@@ -8,9 +8,9 @@
 /// Algorithm 2: the outer loop that unfolds approximations, refines traces,
 /// and extracts invariants — dispatching to the configured refinement
 /// engine (Algorithms 3-6), the Fig. 1/15 transition system, or the Solve
-/// baseline. This is the public solving entry point; see also
-/// solveChcSystem() which runs the full pipeline (preprocess, normalize,
-/// solve, lift the solution).
+/// baseline. This is the solving entry point on a normalized system; the
+/// full pipeline (parse, preprocess, normalize, solve, lift the solution)
+/// runs through solveRequest() (runtime/Request.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,13 +65,6 @@ private:
   NormalizedChc N;
   SolverOptions Opts;
 };
-
-/// Full pipeline on a general CHC system: preprocess (optional), normalize,
-/// solve, and (for Sat) lift the invariant back to per-predicate
-/// definitions in \p SolutionOut when non-null.
-SolverResult solveChcSystem(ChcSystem &Sys, const SolverOptions &Opts,
-                            bool Preprocess = true,
-                            ChcSolution *SolutionOut = nullptr);
 
 //===----------------------------------------------------------------------===
 // Ground-truth utilities (used by Verify and the test-suite)

@@ -74,7 +74,7 @@ class EngineContext {
 public:
   EngineContext(TermContext &F, const NormalizedChc &N,
                 const SolverOptions &Opts)
-      : F(F), N(N), Opts(Opts), Pool(F), Cache(Opts.QueryCacheCap) {
+      : F(F), N(N), Opts(Opts), Pool(F) {
     if (Opts.TimeoutMs > 0) {
       HasDeadline = true;
       Deadline = std::chrono::steady_clock::now() +
@@ -141,7 +141,6 @@ public:
     if (Opts.NoIncremental) {
       countSmtCheck();
       SmtSolver S(F);
-      S.setCancelFlag(Opts.CancelFlag);
       for (TermRef T : Conj)
         S.assertFormula(T);
       switch (S.check()) {
@@ -170,7 +169,7 @@ public:
       else
         Rest.push_back(T);
     }
-    SolverPool::Result R = Pool.check(Base, Rest, Opts.CancelFlag);
+    SolverPool::Result R = Pool.check(Base, Rest);
     Stats.PoolRetires = Pool.retires();
     if (R.St == SmtStatus::Unknown) {
       abortFromSubstrate();
@@ -246,10 +245,11 @@ private:
       Opts.Faults->onSmtCheck();
   }
 
-  /// Classifies a substrate Unknown: a set cancel flag means Cancelled
-  /// (final); otherwise the lemma/node budget ran dry (retryable).
+  /// Classifies a substrate Unknown: the context's cancel flag, which the
+  /// solver polled, set means Cancelled (final); otherwise the lemma/node
+  /// budget ran dry (retryable).
   void abortFromSubstrate() {
-    if (Opts.CancelFlag && Opts.CancelFlag->load(std::memory_order_relaxed))
+    if (F.cancelRequested())
       abort(ErrorCode::Cancelled, "cancelled during SMT check");
     else
       abort(ErrorCode::ResourceExhaustedSteps,

@@ -144,6 +144,24 @@ std::optional<SolverOptions> SolverOptions::parse(const std::string &Name) {
   return O;
 }
 
+bool SolverOptions::applyConfig(const std::string &Name) {
+  std::optional<SolverOptions> P = parse(Name);
+  if (!P)
+    return false;
+  Engine = P->Engine;
+  Cex = P->Cex;
+  MbpMode = P->MbpMode;
+  Accumulate = P->Accumulate;
+  QueryWeaken = P->QueryWeaken;
+  OptInduction = P->OptInduction;
+  OptCexShare = P->OptCexShare;
+  OptQueryReuse = P->OptQueryReuse;
+  OptMonotone = P->OptMonotone;
+  SpacerFig15 = P->SpacerFig15;
+  SpacerULevels = P->SpacerULevels;
+  return true;
+}
+
 //===----------------------------------------------------------------------===
 // Shared command-line surface
 //===----------------------------------------------------------------------===
@@ -272,26 +290,11 @@ bool mucyc::parseSolverOptions(int &Argc, char **Argv, CliOptions &Out,
   }
   Argc = W;
 
-  // Fold the engine configuration in, preserving the runtime knobs the
-  // flag loop above may already have set on Out.Opts.
-  auto Parsed = SolverOptions::parse(Out.Config);
-  if (!Parsed) {
+  // Lay the engine configuration over the runtime knobs the flag loop
+  // above may already have set on Out.Opts.
+  if (!Out.Opts.applyConfig(Out.Config)) {
     Err = "unknown configuration '" + Out.Config + "'";
     return false;
   }
-  SolverOptions Knobs = Out.Opts;
-  Out.Opts = *Parsed;
-  Out.Opts.MemLimitMb = Knobs.MemLimitMb;
-  Out.Opts.MaxRetries = Knobs.MaxRetries;
-  Out.Opts.MaxRefineSteps = Knobs.MaxRefineSteps;
-  Out.Opts.ChaosSeed = Knobs.ChaosSeed;
-  Out.Opts.NoIncremental = Knobs.NoIncremental;
-  Out.Opts.VerifyResult = Knobs.VerifyResult;
-  Out.Opts.ShareLemmas = Knobs.ShareLemmas;
-  Out.Opts.ShareImportBudget = Knobs.ShareImportBudget;
-  Out.Opts.Share = Knobs.Share;
-  Out.Opts.Isolate = Knobs.Isolate;
-  Out.Opts.HardMemMb = Knobs.HardMemMb;
-  Out.Opts.HardCpuSec = Knobs.HardCpuSec;
   return true;
 }

@@ -122,9 +122,10 @@ struct SolverOptions {
   FaultInjector *Faults = nullptr;
 
   /// Cooperative cancellation (see runtime/Cancel.h): when non-null, the
-  /// engine loops and the SMT/simplex substrates poll this flag and wind
-  /// down with Unknown once it is set. The pointee must outlive the run;
-  /// never serialized by name()/parse().
+  /// engine loops poll this flag, and ChcSolver::solve installs it on the
+  /// TermContext so every SMT check of the attempt polls it too; all wind
+  /// down once it is set. The pointee must outlive the run; never
+  /// serialized by name()/parse().
   const std::atomic<bool> *CancelFlag = nullptr;
 
   /// Verify SAT answers against the clauses and UNSAT answers by bounded
@@ -154,11 +155,6 @@ struct SolverOptions {
   /// serialized by name()/parse().
   bool NoIncremental = false;
 
-  /// Capacity of the per-run query cache (one verdict/model entry per
-  /// distinct conjunction; FIFO eviction; 0 disables caching). Never
-  /// serialized by name()/parse().
-  unsigned QueryCacheCap = 4096;
-
   /// Process-isolation tier for solve jobs (--isolate, runtime/Worker.h).
   /// Default None so offline runs stay byte-reproducible; mucyc-serve
   /// defaults to Crash. Never serialized by name()/parse().
@@ -176,6 +172,11 @@ struct SolverOptions {
 
   /// Parses a paper-style name; returns nullopt on malformed input.
   static std::optional<SolverOptions> parse(const std::string &Name);
+
+  /// Lays the engine shape named by \p Name (every field name() renders)
+  /// over these options and keeps all the others, the runtime knobs
+  /// included. Returns false, changing nothing, on a malformed name.
+  bool applyConfig(const std::string &Name);
 
   MbpStrategy mbpStrategy() const {
     switch (Cex) {

@@ -37,7 +37,6 @@ void mucyc::sharePublishLemma(EngineContext &E, int Level, TermRef A,
     for (TermRef D : Disj)
       Neg.push_back(E.F.mkNot(D));
     SmtSolver S(E.F);
-    S.setCancelFlag(E.Opts.CancelFlag);
     S.assertFormula(A);
     unsigned Probes = 0;
     std::vector<TermRef> Core = S.minimizeCore(Neg, &Probes);

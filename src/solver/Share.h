@@ -11,9 +11,13 @@
 ///
 ///  * Publish: a Conflict lemma justified by the valid implication
 ///    A => Lemma is first core-minimized against A (deletion-based, via
-///    SmtSolver::minimizeCore — dropping disjuncts keeps A => Lemma' valid
-///    and only strengthens the lemma), then serialized over the
-///    alpha-canonical mz names (chc/Export.h) and pushed onto the bus.
+///    SmtSolver::minimizeCore, the minimizer cube generalization uses too —
+///    dropping disjuncts keeps A => Lemma' valid and only strengthens the
+///    lemma), then serialized over the alpha-canonical mz names
+///    (chc/Export.h) and pushed onto the bus. The minimizing solver takes
+///    its gauge and cancel flag from the TermContext like every other
+///    solver of the attempt; its probes count in SmtChecks but not in the
+///    fault-injection ordinals.
 ///
 ///  * Import: at frame boundaries a member fetches peers' lemmas, parses
 ///    them into its own TermContext and re-checks, in its own frames, the

@@ -11,7 +11,7 @@ using namespace mucyc;
 SmtSolver &SolverPool::solverFor(TermRef Base) {
   uint32_t Key = Base.isValid() ? Base.Idx : UINT32_MAX;
   std::unique_ptr<SmtSolver> &Slot = Pool[Key];
-  if (Slot && AtomLimit && Slot->numAtoms() > AtomLimit) {
+  if (Slot && Slot->numAtoms() > AtomLimit) {
     Slot.reset();
     ++Retires;
   }
@@ -24,10 +24,8 @@ SmtSolver &SolverPool::solverFor(TermRef Base) {
 }
 
 SolverPool::Result SolverPool::check(TermRef Base,
-                                     const std::vector<TermRef> &Rest,
-                                     const std::atomic<bool> *Cancel) {
+                                     const std::vector<TermRef> &Rest) {
   SmtSolver &S = solverFor(Base);
-  S.setCancelFlag(Cancel);
   Result R;
   R.St = S.check(Rest);
   if (R.St == SmtStatus::Sat)

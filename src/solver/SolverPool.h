@@ -47,7 +47,8 @@ namespace mucyc {
 /// cached run is indistinguishable from a re-checked one.
 class QueryCache {
 public:
-  explicit QueryCache(size_t Capacity) : Cap(Capacity) {}
+  /// Entries kept before FIFO eviction starts.
+  static constexpr size_t Capacity = 4096;
 
   struct Entry {
     bool IsSat = false;
@@ -61,11 +62,9 @@ public:
   }
 
   void insert(TermRef Key, Entry E) {
-    if (Cap == 0)
-      return;
     if (Map.count(Key.Idx))
       return;
-    if (Map.size() >= Cap) {
+    if (Map.size() >= Capacity) {
       Map.erase(Fifo.front());
       Fifo.pop_front();
       ++Evicts;
@@ -78,7 +77,6 @@ public:
   size_t size() const { return Map.size(); }
 
 private:
-  size_t Cap;
   std::unordered_map<uint32_t, Entry> Map;
   std::deque<uint32_t> Fifo; // Insertion order for FIFO eviction.
   uint64_t Evicts = 0;
@@ -87,10 +85,10 @@ private:
 /// Persistent solvers keyed by assertion base; see the file comment.
 class SolverPool {
 public:
-  /// \p AtomLimit: retire a pooled solver once its Tseitin atom count
-  /// exceeds this (0 = never retire).
-  explicit SolverPool(TermContext &Ctx, size_t AtomLimit = 20000)
-      : Ctx(Ctx), AtomLimit(AtomLimit) {}
+  /// A pooled solver is retired once its Tseitin atom count exceeds this.
+  static constexpr size_t AtomLimit = 20000;
+
+  explicit SolverPool(TermContext &Ctx) : Ctx(Ctx) {}
 
   struct Result {
     SmtStatus St = SmtStatus::Unknown;
@@ -99,10 +97,8 @@ public:
 
   /// Checks base /\ (/\ Rest), reusing (or creating) the pooled solver for
   /// \p Base. \p Base may be invalid for the baseless bucket; \p Rest must
-  /// not contain it. The cancel flag is installed fresh on every call (the
-  /// same pooled solver serves runs with different flags in tests).
-  Result check(TermRef Base, const std::vector<TermRef> &Rest,
-               const std::atomic<bool> *Cancel);
+  /// not contain it. The check obeys the context's cancel flag.
+  Result check(TermRef Base, const std::vector<TermRef> &Rest);
 
   /// Solvers destroyed because they exceeded the atom limit.
   uint64_t retires() const { return Retires; }
@@ -114,7 +110,6 @@ private:
   SmtSolver &solverFor(TermRef Base);
 
   TermContext &Ctx;
-  size_t AtomLimit;
   std::unordered_map<uint32_t, std::unique_ptr<SmtSolver>> Pool;
   uint64_t Retires = 0;
 };

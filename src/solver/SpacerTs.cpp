@@ -35,8 +35,6 @@
 #include "solver/Share.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace mucyc;
 
@@ -130,9 +128,6 @@ SolverResult SpacerTsEngine::run() {
     if (auto M = E.sat({frame(0), N.Bad})) {
       TermRef Psi = mbp(F, MbpStrategy::LazyProject, {}, // Implicant cube.
                         F.mkAnd(frame(0), N.Bad), *M);
-      if (std::getenv("MUCYC_SPACER_TRACE"))
-        std::fprintf(stderr, "[spacer] Candidate N=%zu psi=%s\n",
-                     Frames.size(), F.toString(Psi).c_str());
       Stack.push_back(Query{Psi, 0});
     } else {
       if (E.Aborted)
@@ -156,8 +151,6 @@ SolverResult SpacerTsEngine::run() {
         break;
       // (Unfold): phi_{n+1} := phi_n shifted, phi_0 := true — a fresh true
       // root; the initial-most frame keeps its iota-derived lemmas.
-      if (std::getenv("MUCYC_SPACER_TRACE"))
-        std::fprintf(stderr, "[spacer] Unfold -> N=%zu\n", Frames.size() + 1);
       Frames.insert(Frames.begin(), std::vector<TermRef>());
       if (!ULevels.empty())
         ULevels.insert(ULevels.begin(), F.mkFalse());
@@ -175,9 +168,6 @@ SolverResult SpacerTsEngine::run() {
       TermRef PsiZ = Q.Psi;
       int Lvl = Q.Level;
       int Deeper = Lvl + 1;
-      if (std::getenv("MUCYC_SPACER_TRACE"))
-        std::fprintf(stderr, "[spacer] query lvl=%d N=%zu stack=%zu\n", Lvl,
-                     Frames.size(), Stack.size());
       if (static_cast<int>(Frames.size()) <= Deeper) {
         // The query reached the initial-most frame; only iota can resolve.
         if (auto M = E.sat({N.Init, PsiZ})) {
@@ -220,9 +210,6 @@ SolverResult SpacerTsEngine::run() {
         if (!Opts.SpacerFig15)
           Arg.push_back(PsiZ); // Fig. 1 includes the query; Fig. 15 not.
         TermRef G = E.projectToZ(F.mkAnd(Arg), *M);
-        if (std::getenv("MUCYC_SPACER_TRACE"))
-          std::fprintf(stderr, "[spacer] Successor lvl=%d gamma=%s\n", Lvl,
-                       F.toString(G).c_str());
         addU(Lvl, G, UHeight + 1); // Both children lie in U.
         Stack.pop_back();
         continue;
@@ -236,9 +223,6 @@ SolverResult SpacerTsEngine::run() {
         if (!Opts.SpacerFig15)
           Arg.insert(Arg.begin(), FrameX);
         TermRef Theta = E.projectToX(F.mkAnd(Arg), *M);
-        if (std::getenv("MUCYC_SPACER_TRACE"))
-          std::fprintf(stderr, "[spacer] DecideMust lvl=%d theta=%s\n", Lvl,
-                       F.toString(Theta).c_str());
         Stack.push_back(Query{E.xToZ(Theta), Deeper});
         continue;
       }
@@ -253,9 +237,6 @@ SolverResult SpacerTsEngine::run() {
           Arg.insert(Arg.begin() + 1, FrameY);
         }
         TermRef Theta = E.projectToY(F.mkAnd(Arg), *M);
-        if (std::getenv("MUCYC_SPACER_TRACE"))
-          std::fprintf(stderr, "[spacer] DecideMay lvl=%d theta=%s\n", Lvl,
-                       F.toString(Theta).c_str());
         Stack.push_back(Query{E.yToZ(Theta), Deeper});
         continue;
       }
@@ -265,9 +246,6 @@ SolverResult SpacerTsEngine::run() {
       // (Conflict).
       TermRef A = F.mkOr(N.Init, F.mkAnd({FrameX, FrameY, N.Trans}));
       TermRef Lemma = E.itp(A, F.mkNot(PsiZ));
-      if (std::getenv("MUCYC_SPACER_TRACE"))
-        std::fprintf(stderr, "[spacer] Conflict lvl=%d lemma=%s\n", Lvl,
-                     F.toString(Lemma).c_str());
       sharePublishLemma(E, Lvl, A, Lemma);
       addLemma(Lvl, Lemma);
       Stack.pop_back();

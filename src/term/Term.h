@@ -26,6 +26,7 @@
 #include "support/Fault.h"
 #include "support/Rational.h"
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <iterator>
@@ -274,6 +275,16 @@ public:
   void setFaultInjector(FaultInjector *FI) { Faults = FI; }
   FaultInjector *faultInjector() const { return Faults; }
 
+  /// Installs the attempt's cooperative cancel flag. Every SmtSolver built
+  /// on this context reads it at each check(), so pooled and throwaway
+  /// solvers alike stop within one round once it is set. The pointee must
+  /// outlive its installation; uninstall (nullptr) before it dies.
+  void setCancelFlag(const std::atomic<bool> *Flag) { Cancel = Flag; }
+  const std::atomic<bool> *cancelFlag() const { return Cancel; }
+  bool cancelRequested() const {
+    return Cancel && Cancel->load(std::memory_order_relaxed);
+  }
+
   /// Payload bytes the kid arena has handed out — a pure function of the
   /// interning trace (used by determinism tests and diagnostics).
   size_t kidArenaBytes() const { return KidArena.bytesAllocated(); }
@@ -327,6 +338,7 @@ private:
   TermRef TrueRef, FalseRef;
   ResourceGauge *Gauge = nullptr;
   FaultInjector *Faults = nullptr;
+  const std::atomic<bool> *Cancel = nullptr;
   TermListMemo BlockedCubeMemo;
 };
 

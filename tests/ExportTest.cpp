@@ -16,6 +16,7 @@
 #include "bench_suite/Suite.h"
 #include "chc/Export.h"
 #include "chc/Parser.h"
+#include "chc/Preprocess.h"
 #include "solver/ChcSolve.h"
 
 #include <gtest/gtest.h>
@@ -59,13 +60,16 @@ TEST_P(ExportRoundTripTest, SolveAfterReparse) {
   SolverOptions Opts = *SolverOptions::parse("Ret(T,MBP(1))");
   Opts.TimeoutMs = 20000;
   Opts.VerifyResult = true;
-  ChcSolution Sol;
-  SolverResult Res = solveChcSystem(*R.System, Opts, /*Preprocess=*/true,
-                                    &Sol);
+  ChcSystem Work = preprocess(*R.System);
+  NormalizeResult NR = normalize(Work);
+  SolverResult Res = ChcSolver(C2, NR.Sys, Opts).solve();
   if (Res.Status != ChcStatus::Unknown) {
     EXPECT_EQ(Res.Status, B.Expected) << B.Name;
-    if (Res.Status == ChcStatus::Sat)
-      EXPECT_TRUE(R.System->checkSolution(Sol)) << B.Name;
+    if (Res.Status == ChcStatus::Sat) {
+      EXPECT_TRUE(R.System->checkSolution(
+          NR.liftSolution(Work, Res.Invariant)))
+          << B.Name;
+    }
   }
 }
 

@@ -258,7 +258,6 @@ TEST(RecoverTest, DegradeLadderShape) {
 
   SolverOptions A1 = degradeOptions(*Base, 1);
   EXPECT_TRUE(A1.NoIncremental); // Possibly-poisoned state is dropped.
-  EXPECT_EQ(A1.QueryCacheCap, 0u);
   EXPECT_EQ(A1.MaxRefineSteps, 50u);
   EXPECT_EQ(A1.MaxDepth, 4);
   EXPECT_EQ(A1.Engine, EngineKind::Ret); // Same engine on first retry.

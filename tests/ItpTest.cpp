@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <random>
 
@@ -239,6 +240,28 @@ TEST(ItpMemoTest, ThrowingCallStoresNothing) {
   EXPECT_TRUE(C.blockedCubeMemo().empty());
   EXPECT_TRUE(
       raisesInvariantViolation([&] { generalizeBlockedCube(C, A, Cube); }));
+}
+
+//===----------------------------------------------------------------------===
+// Cancellation through the context
+//===----------------------------------------------------------------------===
+
+TEST(ContextCancelTest, GeneralizationRaisesCancelledAndStoresNothing) {
+  TermContext C;
+  MemoInputs In = memoInputs(C);
+  std::atomic<bool> Flag{true};
+  C.setCancelFlag(&Flag);
+  ErrorCode Got = ErrorCode::None;
+  try {
+    generalizeBlockedCube(C, In.A, In.Cube);
+  } catch (const MucycError &E) {
+    Got = E.code();
+  }
+  EXPECT_EQ(Got, ErrorCode::Cancelled);
+  EXPECT_TRUE(C.blockedCubeMemo().empty());
+  C.setCancelFlag(nullptr);
+  EXPECT_FALSE(generalizeBlockedCube(C, In.A, In.Cube).empty());
+  EXPECT_EQ(C.blockedCubeMemo().size(), 1u);
 }
 
 //===----------------------------------------------------------------------===

@@ -23,12 +23,13 @@ void expectStatus(const std::string &Horn, ChcStatus Expected) {
   SolverOptions Opts;
   Opts.TimeoutMs = 30000;
   Opts.VerifyResult = true;
-  ChcSolution Sol;
-  SolverResult Res = solveChcSystem(*R.System, Opts, /*Preprocess=*/false,
-                                    &Sol);
+  NormalizeResult NR = normalize(*R.System);
+  SolverResult Res = ChcSolver(C, NR.Sys, Opts).solve();
   EXPECT_EQ(Res.Status, Expected);
-  if (Res.Status == ChcStatus::Sat && Expected == ChcStatus::Sat)
-    EXPECT_TRUE(R.System->checkSolution(Sol));
+  if (Res.Status == ChcStatus::Sat && Expected == ChcStatus::Sat) {
+    EXPECT_TRUE(R.System->checkSolution(
+        NR.liftSolution(*R.System, Res.Invariant)));
+  }
 }
 } // namespace
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 
 using namespace mucyc;
@@ -119,6 +120,24 @@ TEST(QeTest, DisjunctiveInput) {
   TermRef Expect = C.mkOr(C.mkGe(Y, C.mkIntConst(3)),
                           C.mkLe(Y, C.mkIntConst(-3)));
   EXPECT_TRUE(SmtSolver::equivalent(C, Psi, Expect));
+}
+
+TEST(ContextCancelTest, QeExistsRaisesCancelled) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int), Y = C.mkVar("y", Sort::Int);
+  TermRef Phi = C.mkAnd(C.mkLe(X, Y), C.mkGe(X, C.mkIntConst(0)));
+  std::atomic<bool> Flag{true};
+  C.setCancelFlag(&Flag);
+  ErrorCode Got = ErrorCode::None;
+  try {
+    qeExists(C, {C.node(X).Var}, Phi);
+  } catch (const MucycError &E) {
+    Got = E.code();
+  }
+  EXPECT_EQ(Got, ErrorCode::Cancelled);
+  C.setCancelFlag(nullptr);
+  EXPECT_TRUE(SmtSolver::equivalent(C, qeExists(C, {C.node(X).Var}, Phi),
+                                    C.mkGe(Y, C.mkIntConst(0))));
 }
 
 class QePropertyTest : public ::testing::TestWithParam<unsigned> {};

@@ -588,6 +588,24 @@ TEST(ServeDaemonTest, DaemonSurvivesCrashingIsolatedWorkers) {
   EXPECT_EQ(Bad.Verb, "error");
 }
 
+TEST(ServeDaemonTest, ConfigHeaderKeepsTheDaemonsIsolation) {
+  // The daemon isolates by its own setting (mucyc-serve's default); a
+  // request naming a configuration replaces the engine shape only, so its
+  // solve still runs in a forked worker and the crash directive fires.
+  ServeOptions SO;
+  SO.BaseOpts.Isolate = IsolateMode::Crash;
+  ServeDaemon D(SO);
+  TestConn C(D);
+  WireMessage R = C.solve(CounterSat, {{"config", "Ret(T,MBP(1))"},
+                                       {"x-crash", "segv"},
+                                       {"no-store", "1"}});
+  ASSERT_EQ(R.Verb, "result");
+  EXPECT_EQ(R.header("status"), "unknown");
+  EXPECT_NE(R.header("error").find("worker-crashed"), std::string::npos)
+      << R.header("error");
+  EXPECT_EQ(D.stats().WorkerCrashes.load(), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Crash-restart durability against the real daemon binary
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <random>
 
@@ -226,13 +227,14 @@ TEST_F(SmtFixture, CancelledCheckLeavesScopesUsable) {
   S.assertFormula(C.mkGe(X, C.mkIntConst(0)));
   S.push();
   S.assertFormula(C.mkLe(X, C.mkIntConst(-1)));
-  S.setCancelFlag(&Flag);
+  C.setCancelFlag(&Flag);
   EXPECT_EQ(S.check(), SmtStatus::Unknown); // Interrupted, state intact.
   Flag.store(false);
   EXPECT_EQ(S.check(), SmtStatus::Unsat); // Same scope, real verdict now.
   S.pop();
   EXPECT_EQ(S.check(), SmtStatus::Sat);
   EXPECT_EQ(S.numScopes(), 0u);
+  C.setCancelFlag(nullptr);
 }
 
 TEST_F(SmtFixture, LearnedClausesSurvivePop) {
@@ -270,6 +272,24 @@ TEST_F(SmtFixture, ImpliesAndEquivalentHelpers) {
   EXPECT_FALSE(SmtSolver::implies(C, G, F));
   EXPECT_TRUE(SmtSolver::equivalent(
       C, C.mkLt(X, C.mkIntConst(3)), C.mkLe(X, C.mkIntConst(2))));
+}
+
+TEST(ContextCancelTest, ImpliesRaisesCancelled) {
+  TermContext C;
+  TermRef X = C.mkVar("x", Sort::Int);
+  TermRef F = C.mkAnd(C.mkGe(X, C.mkIntConst(1)), C.mkLe(X, C.mkIntConst(3)));
+  TermRef G = C.mkGe(X, C.mkIntConst(0));
+  std::atomic<bool> Flag{true};
+  C.setCancelFlag(&Flag);
+  ErrorCode Got = ErrorCode::None;
+  try {
+    SmtSolver::implies(C, F, G);
+  } catch (const MucycError &E) {
+    Got = E.code();
+  }
+  EXPECT_EQ(Got, ErrorCode::Cancelled);
+  C.setCancelFlag(nullptr);
+  EXPECT_TRUE(SmtSolver::implies(C, F, G));
 }
 
 //===----------------------------------------------------------------------===

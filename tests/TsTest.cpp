@@ -62,13 +62,6 @@ ChcStatus expectedVerdict(const std::string &Text,
   return V == "sat" ? ChcStatus::Sat : ChcStatus::Unsat;
 }
 
-ChcSystem parseGolden(TermContext &Ctx, const std::string &Text,
-                      const std::string &Name) {
-  Btor2Result BR = parseBtor2(Ctx, Text);
-  EXPECT_TRUE(BR.Ok) << Name << ": " << BR.Error;
-  return BR.Ts->encodeChc();
-}
-
 //===----------------------------------------------------------------------===
 // Golden corpus: every engine, Verify-certified
 //===----------------------------------------------------------------------===
@@ -94,14 +87,15 @@ TEST(TsGolden, AllEnginesAgreeWithAnnotationsCertified) {
     ChcStatus Want = expectedVerdict(Text, P.filename().string());
     for (const EngineCase &E : Engines) {
       SCOPED_TRACE(P.filename().string() + " engine=" + E.Name);
-      TermContext Ctx;
-      ChcSystem Sys = parseGolden(Ctx, Text, P.filename().string());
       SolverOptions Opts;
       Opts.Engine = E.Kind;
       Opts.VerifyResult = true;
       Opts.MaxRefineSteps = 20000; // Divergence fails the test, not CI.
-      SolverResult R = solveChcSystem(Sys, Opts);
-      EXPECT_EQ(R.Status, Want) << chcStatusName(R.Status);
+      SolveResponse R = solveRequest(
+          SolveRequest::fromText(Text, Opts, /*Preprocess=*/true,
+                                 InputFormat::Btor2));
+      EXPECT_EQ(R.Status, Want)
+          << chcStatusName(R.Status) << " " << R.Error.Detail;
       EXPECT_FALSE(R.VerifyFailed) << R.VerifyNote;
     }
   }
