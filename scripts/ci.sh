@@ -372,9 +372,9 @@ if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then
     fi
     echo "perfbench $1 digest: $GOT"
   }
-  check_digest fig2 1c488e7494718c89
-  check_digest btor2 b3b40da66955f8d0
-  check_digest serve e6cf32ef16290df3
+  check_digest fig2 1223420e06050e47
+  check_digest btor2 e133c067aa54b537
+  check_digest serve 7cfac36bade9e555
 fi
 
 if [ "$ASAN" = 0 ] && [ "$TSAN" = 0 ]; then

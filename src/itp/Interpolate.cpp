@@ -33,10 +33,10 @@ mucyc::generalizeBlockedCube(TermContext &Ctx, TermRef A,
   SmtSolver S(Ctx);
   S.assertFormula(A);
   std::vector<TermRef> Core = S.minimizeCore(Lits);
-  // A probe cut short by the cancel flag keeps its literal unproven, so a
-  // call that saw the flag throws rather than return (and store) a core
-  // that depends on when the flag was set.
-  if (S.minimizeStatus() == SmtStatus::Unknown || Ctx.cancelRequested())
+  // A probe cut short by the cancel flag or the deadline keeps its literal
+  // unproven, so a call that saw either throws rather than return (and
+  // store) a core that depends on when the attempt was stopped.
+  if (S.minimizeStatus() == SmtStatus::Unknown || Ctx.stopRequested())
     SmtSolver::raiseUnknown(
         Ctx, "lemma budget exhausted while checking a blocked cube");
   MUCYC_INVARIANT(S.minimizeStatus() == SmtStatus::Unsat,

@@ -40,7 +40,8 @@
 /// inputs: a repeated call returns exactly what a rebuild would, skipping
 /// only the rebuild's gauge charges and the fresh witness variables of
 /// divisibility atoms. A call that throws stores nothing, and one that
-/// sees the context's cancel flag set throws Cancelled.
+/// sees the context's cancel flag set or its deadline passed throws
+/// Cancelled or Timeout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,10 +66,10 @@ TermRef interpolate(TermContext &Ctx, TermRef A, TermRef B,
 /// Generalizes a blocked cube: given |= A => not(/\ Lits), returns a subset
 /// S of Lits with |= A => not(/\ S), shrunk by SmtSolver::minimizeCore
 /// until no single literal can be dropped. Raises InvariantViolation when
-/// A does not block the cube, Cancelled when the context's cancel flag is
-/// set, and ResourceExhaustedSteps when the first check runs out of
-/// budget. A repeated A and literal list is answered from
-/// Ctx.blockedCubeMemo().
+/// A does not block the cube, Cancelled or Timeout when the context's
+/// cancel flag is set or its deadline has passed, and
+/// ResourceExhaustedSteps when the first check runs out of budget. A
+/// repeated A and literal list is answered from Ctx.blockedCubeMemo().
 std::vector<TermRef> generalizeBlockedCube(TermContext &Ctx, TermRef A,
                                            const std::vector<TermRef> &Lits);
 

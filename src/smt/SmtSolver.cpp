@@ -98,14 +98,20 @@ void SmtSolver::pop() {
 }
 
 SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
+  // The one place a check is counted: first the attempt's count, then the
+  // fault-injection ordinal, which may throw.
+  const TermContext::Governance &Gov = Ctx.governance();
+  if (Gov.Checks)
+    ++*Gov.Checks;
+  if (Gov.Faults)
+    Gov.Faults->onSmtCheck();
   Core.clear();
   if (TriviallyUnsat)
     return SmtStatus::Unsat;
   // Whatever flag the context carries now governs this check, down to the
-  // CDCL core and the theory layer.
-  const std::atomic<bool> *Cancel = Ctx.cancelFlag();
-  Sat.setCancelFlag(Cancel);
-  Checker.setCancelFlag(Cancel);
+  // CDCL core and the theory layer; the deadline is polled with it.
+  Sat.setCancelFlag(Gov.Cancel);
+  Checker.setCancelFlag(Gov.Cancel);
 
   // Assume the activation literal of every open scope, then the user
   // assumptions. Core extraction below filters through AsmMap, so
@@ -130,7 +136,7 @@ SmtStatus SmtSolver::check(const std::vector<TermRef> &Assumptions) {
   std::vector<TheoryLit> Lits;
   std::vector<SatLit> LitSat;
   for (uint64_t Iter = 0; Iter < LemmaBudget; ++Iter) {
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
+    if (Ctx.stopRequested())
       return SmtStatus::Unknown;
     SatSolver::Result SatRes = Sat.solve(AsmLits);
     if (SatRes == SatSolver::Result::Interrupted)
@@ -253,8 +259,15 @@ bool SmtSolver::equivalent(TermContext &Ctx, TermRef F, TermRef G) {
   return implies(Ctx, F, G) && implies(Ctx, G, F);
 }
 
-void SmtSolver::raiseUnknown(const TermContext &Ctx, const char *Detail) {
+ErrorInfo SmtSolver::unknownError(const TermContext &Ctx, const char *Detail) {
   if (Ctx.cancelRequested())
-    raiseError(ErrorCode::Cancelled, "cancelled during SMT check");
-  raiseError(ErrorCode::ResourceExhaustedSteps, Detail);
+    return {ErrorCode::Cancelled, "cancelled during SMT check"};
+  if (Ctx.deadlinePassed())
+    return {ErrorCode::Timeout, "deadline expired during SMT check"};
+  return {ErrorCode::ResourceExhaustedSteps, Detail};
+}
+
+void SmtSolver::raiseUnknown(const TermContext &Ctx, const char *Detail) {
+  ErrorInfo I = unknownError(Ctx, Detail);
+  raiseError(I.Code, std::move(I.Detail));
 }

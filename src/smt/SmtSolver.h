@@ -48,8 +48,11 @@ enum class SmtStatus { Sat, Unsat, Unknown };
 ///
 /// Governance comes from the TermContext, so every solver an attempt
 /// builds, pooled or throwaway, is governed alike: the resource gauge is
-/// picked up at construction, the fault injector meters the context's
-/// allocations, and the cancel flag is read at each check().
+/// picked up at construction, and check() is the one gateway every SMT
+/// check of the attempt goes through. Each call advances the attempt's
+/// check count (SolveStats::SmtChecks) and then the fault injector's check
+/// ordinal, and it answers Unknown once the cancel flag is set or the
+/// deadline has passed.
 class SmtSolver {
 public:
   explicit SmtSolver(TermContext &Ctx)
@@ -57,7 +60,7 @@ public:
     // One gauge per solving attempt: whatever is installed on the term
     // context also meters this solver's CDCL clause database and simplex
     // tableaus.
-    if (ResourceGauge *G = Ctx.resourceGauge()) {
+    if (ResourceGauge *G = Ctx.governance().Gauge) {
       Sat.setResourceGauge(G);
       Checker.setResourceGauge(G);
     }
@@ -76,9 +79,10 @@ public:
   size_t numScopes() const { return Scopes.size(); }
 
   /// Checks satisfiability of the assertions plus \p Assumptions (each a
-  /// Boolean term). Returns Unknown once the context's cancel flag is set:
-  /// the DPLL(T) lemma loop, the CDCL core and the simplex/branch-and-bound
-  /// theory layer all poll it.
+  /// Boolean term). Counts the check on the context first (see the class
+  /// comment). Returns Unknown once the context's cancel flag is set or its
+  /// deadline has passed: the DPLL(T) lemma loop polls both, and the CDCL
+  /// core and the simplex/branch-and-bound theory layer poll the flag.
   SmtStatus check(const std::vector<TermRef> &Assumptions = {});
 
   /// After Sat: the model.
@@ -137,10 +141,12 @@ public:
   /// Is \p F equivalent to \p G?
   static bool equivalent(TermContext &Ctx, TermRef F, TermRef G);
 
-  /// Raises for a check on \p Ctx that answered Unknown where the caller
-  /// has no in-band Unknown: Cancelled when the context's cancel flag is
-  /// set (final), otherwise ResourceExhaustedSteps with \p Detail
-  /// (retryable).
+  /// Why a check on \p Ctx answered Unknown: Cancelled when the context's
+  /// cancel flag is set (final), else Timeout when its deadline has passed
+  /// (final), else ResourceExhaustedSteps with \p Detail (retryable).
+  static ErrorInfo unknownError(const TermContext &Ctx, const char *Detail);
+
+  /// Raises unknownError() where the caller has no in-band Unknown.
   [[noreturn]] static void raiseUnknown(const TermContext &Ctx,
                                         const char *Detail);
 

@@ -45,9 +45,8 @@ std::unique_ptr<Refiner> mucyc::makeRefiner(EngineContext &E) {
   }
 }
 
-SolverResult ChcSolver::solveInductive() {
+SolverResult ChcSolver::solveInductive(EngineContext &E) {
   SolverResult R;
-  EngineContext E(F, N, Opts);
   std::unique_ptr<Refiner> Ref = makeRefiner(E);
   Trace T(F);
   TermRef Alpha = F.mkNot(N.Bad);
@@ -109,98 +108,65 @@ SolverResult ChcSolver::solveInductive() {
       break;
   }
   R.Depth = T.depth();
-  R.Stats = E.Stats;
-  if (R.Status == ChcStatus::Unknown)
-    R.Error = E.AbortInfo;
   return R;
 }
 
 namespace {
-/// Installs the run's resource gauge, fault injector and cancel flag on the
-/// term context for the duration of one solving attempt, uninstalling on
-/// every exit path (the gauge lives on the solve() stack frame; the context
-/// outlives it).
-struct GovernanceScope {
-  GovernanceScope(TermContext &F, ResourceGauge *G, FaultInjector *FI,
-                  const std::atomic<bool> *Cancel)
-      : F(F) {
-    F.setResourceGauge(G);
-    F.setFaultInjector(FI);
-    F.setCancelFlag(Cancel);
-  }
-  ~GovernanceScope() {
-    F.setResourceGauge(nullptr);
-    F.setFaultInjector(nullptr);
-    F.setCancelFlag(nullptr);
-  }
-  TermContext &F;
-};
+/// Demotes a definitive answer that the independent check refutes.
+void verifyAnswer(TermContext &F, const NormalizedChc &N, SolverResult &R) {
+  VerifyDiag Diag;
+  bool Ok = true;
+  if (R.Status == ChcStatus::Sat)
+    Ok = verifyInvariant(F, N, R.Invariant, &Diag);
+  else if (R.Status == ChcStatus::Unsat)
+    Ok = verifyCexPiece(F, N, R.CexPiece, R.Depth + 2, &Diag);
+  if (Ok)
+    return;
+  R.Status = ChcStatus::Unknown;
+  R.VerifyFailed = true;
+  R.VerifyNote =
+      std::string(verifyRuleName(Diag.Failed)) + ": " + Diag.Message;
+}
 } // namespace
 
 SolverResult ChcSolver::solve() {
   auto Start = std::chrono::steady_clock::now();
   SolverResult R;
-
-  // Resource governance for this attempt. The gauge meters cumulative
-  // allocation (term nodes, CDCL clauses, simplex rows) against MemLimitMb;
-  // the injector fires seed-derived deterministic faults; the cancel flag
-  // stops every SMT check. All three are installed on the context so every
-  // solver the attempt creates inherits them, and uninstalled before
-  // verification/lifting below.
-  ResourceGauge Gauge(Opts.MemLimitMb << 20);
-  FaultInjector SeededFaults;
-  if (!Opts.Faults && Opts.ChaosSeed) {
-    SeededFaults = FaultInjector::fromSeed(Opts.ChaosSeed);
-    Opts.Faults = &SeededFaults;
-  }
-  {
-    GovernanceScope Scope(F, Opts.MemLimitMb ? &Gauge : nullptr, Opts.Faults,
-                          Opts.CancelFlag);
-    try {
-      switch (Opts.Engine) {
-      case EngineKind::SpacerTs:
-        R = runSpacerTs(F, N, Opts);
-        break;
-      case EngineKind::Solve:
-        R = runSolveBaseline(F, N, Opts);
-        break;
-      default:
-        R = solveInductive();
-        break;
-      }
-    } catch (const MucycError &E) {
-      // The error boundary: a typed throw anywhere below (budget trip,
-      // injected fault, invariant violation) lands here. The attempt's
-      // engines and solvers are torn down by the unwind; the term context
-      // only ever grew, so it stays consistent for a caller that retries
-      // in a fresh context or reads the partial stats.
-      R = SolverResult();
-      R.Status = ChcStatus::Unknown;
-      R.Error = E.info();
+  // The attempt's one engine context. For its lifetime it governs every
+  // solver the attempt builds, verification's included: the gauge meters
+  // cumulative allocation against MemLimitMb, the injector fires
+  // seed-derived deterministic faults, and every SMT check is counted,
+  // stopped by the cancel flag and bounded by the deadline.
+  EngineContext E(F, N, Opts);
+  try {
+    switch (Opts.Engine) {
+    case EngineKind::SpacerTs:
+      R = runSpacerTs(E);
+      break;
+    case EngineKind::Solve:
+      R = runSolveBaseline(E);
+      break;
+    default:
+      R = solveInductive(E);
+      break;
     }
+    if (Opts.VerifyResult)
+      verifyAnswer(F, N, R);
+  } catch (const MucycError &Err) {
+    // The error boundary: a typed throw anywhere below (budget trip,
+    // injected fault, invariant violation, a check stopped inside
+    // interpolation or QE) lands here. The term context only ever grew, so
+    // it stays consistent for a caller that retries in a fresh context;
+    // the attempt's counts survive in E.
+    R = SolverResult();
+    R.Error = Err.info();
   }
-  if (Opts.Faults == &SeededFaults)
-    Opts.Faults = nullptr;
+  R.Stats = E.Stats;
+  if (R.Status == ChcStatus::Unknown && !R.Error.isError())
+    R.Error = E.AbortInfo;
   R.Seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             Start)
                   .count();
-  if (Opts.VerifyResult && !R.Error.isError()) {
-    VerifyDiag Diag;
-    if (R.Status == ChcStatus::Sat &&
-        !verifyInvariant(F, N, R.Invariant, &Diag)) {
-      R.Status = ChcStatus::Unknown;
-      R.VerifyFailed = true;
-      R.VerifyNote = std::string(verifyRuleName(Diag.Failed)) + ": " +
-                     Diag.Message;
-    }
-    if (R.Status == ChcStatus::Unsat &&
-        !verifyCexPiece(F, N, R.CexPiece, R.Depth + 2, &Diag)) {
-      R.Status = ChcStatus::Unknown;
-      R.VerifyFailed = true;
-      R.VerifyNote = std::string(verifyRuleName(Diag.Failed)) + ": " +
-                     Diag.Message;
-    }
-  }
   return R;
 }
 

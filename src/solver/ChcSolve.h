@@ -59,7 +59,7 @@ public:
   SolverResult solve();
 
 private:
-  SolverResult solveInductive();
+  SolverResult solveInductive(EngineContext &E);
 
   TermContext &F;
   NormalizedChc N;

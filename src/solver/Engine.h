@@ -28,7 +28,9 @@ namespace mucyc {
 
 /// Counters reported with every solver result.
 struct SolveStats {
-  uint64_t SmtChecks = 0;      ///< SMT checks actually issued to a solver.
+  /// Every SmtSolver::check call of the attempt, on any solver (query-cache
+  /// hits issue none).
+  uint64_t SmtChecks = 0;
   uint64_t SmtCacheHits = 0;   ///< sat() answers replayed from the cache.
   uint64_t SmtCacheEvicts = 0; ///< FIFO evictions from the query cache.
   uint64_t PoolRetires = 0;    ///< Pooled solvers retired (atom limit).
@@ -69,18 +71,32 @@ struct SolveStats {
   }
 };
 
-/// Shared state for one solving run.
+/// Shared state for one solving attempt. For its lifetime it installs the
+/// attempt's governance on the term context (gauge, fault injector, cancel
+/// flag, Stats.SmtChecks as the check count, deadline), so every solver's
+/// checks are counted, fault-metered and bounded; the destructor
+/// reinstalls what it replaced.
 class EngineContext {
 public:
   EngineContext(TermContext &F, const NormalizedChc &N,
                 const SolverOptions &Opts)
-      : F(F), N(N), Opts(Opts), Pool(F) {
-    if (Opts.TimeoutMs > 0) {
-      HasDeadline = true;
-      Deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(Opts.TimeoutMs);
-    }
+      : F(F), N(N), Opts(Opts), Gauge(Opts.MemLimitMb << 20),
+        SeededFaults(FaultInjector::fromSeed(Opts.ChaosSeed)), Pool(F) {
+    TermContext::Governance G;
+    G.Gauge = Opts.MemLimitMb ? &Gauge : nullptr;
+    G.Faults = Opts.Faults     ? Opts.Faults
+               : Opts.ChaosSeed ? &SeededFaults
+                                : nullptr;
+    G.Cancel = Opts.CancelFlag;
+    G.Checks = &Stats.SmtChecks;
+    if (Opts.TimeoutMs > 0)
+      G.Deadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(Opts.TimeoutMs);
+    Outer = F.swapGovernance(std::move(G));
   }
+  ~EngineContext() { F.swapGovernance(std::move(Outer)); }
+  EngineContext(const EngineContext &) = delete;
+  EngineContext &operator=(const EngineContext &) = delete;
 
   TermContext &F;
   const NormalizedChc &N;
@@ -104,16 +120,15 @@ public:
   bool expired() {
     if (Aborted)
       return true;
-    if (Opts.CancelFlag &&
-        Opts.CancelFlag->load(std::memory_order_relaxed))
+    if (F.cancelRequested())
       abort(ErrorCode::Cancelled, "cancel requested");
-    else if (Opts.Faults && Opts.Faults->spuriousCancel())
+    else if (F.governance().Faults && F.governance().Faults->spuriousCancel())
       abort(ErrorCode::Cancelled, "injected spurious cancel");
     else if (Opts.MaxRefineSteps && Stats.RefineCalls > Opts.MaxRefineSteps)
       abort(ErrorCode::ResourceExhaustedSteps,
             "refine-step budget exhausted (" +
                 std::to_string(Opts.MaxRefineSteps) + " steps)");
-    else if (HasDeadline && std::chrono::steady_clock::now() > Deadline)
+    else if (F.deadlinePassed())
       abort(ErrorCode::Timeout,
             "deadline of " + std::to_string(Opts.TimeoutMs) + " ms expired");
     return Aborted;
@@ -139,7 +154,6 @@ public:
     if (expired())
       return std::nullopt;
     if (Opts.NoIncremental) {
-      countSmtCheck();
       SmtSolver S(F);
       for (TermRef T : Conj)
         S.assertFormula(T);
@@ -159,7 +173,6 @@ public:
       ++Stats.SmtCacheHits;
       return E->IsSat ? std::optional<Model>(E->M) : std::nullopt;
     }
-    countSmtCheck();
     TermRef Base;
     std::vector<TermRef> Rest;
     Rest.reserve(Conj.size());
@@ -223,6 +236,13 @@ public:
     return mbp(F, Opts.mbpStrategy(), Elim, Phi, M);
   }
 
+  /// An implicant cube of Phi under M: MBP with nothing to eliminate, by
+  /// LazyProject whatever Opts.Cex says.
+  TermRef implicant(TermRef Phi, const Model &M) {
+    ++Stats.MbpCalls;
+    return mbp(F, MbpStrategy::LazyProject, {}, Phi, M);
+  }
+
   TermRef itp(TermRef A, TermRef B) {
     ++Stats.ItpCalls;
     return interpolate(F, A, B, Opts.Itp);
@@ -236,28 +256,22 @@ public:
   }
 
 private:
-  /// Counts an SMT check actually issued; the fault-injection point for
-  /// "throw at the Nth check" (cache hits deliberately do not count — the
-  /// ordinal matches the work a fresh run would do).
-  void countSmtCheck() {
-    ++Stats.SmtChecks;
-    if (Opts.Faults)
-      Opts.Faults->onSmtCheck();
-  }
-
-  /// Classifies a substrate Unknown: the context's cancel flag, which the
-  /// solver polled, set means Cancelled (final); otherwise the lemma/node
-  /// budget ran dry (retryable).
+  /// Classifies a substrate Unknown as SmtSolver::unknownError does:
+  /// Cancelled or Timeout (final), else the lemma/node budget ran dry
+  /// (retryable).
   void abortFromSubstrate() {
-    if (F.cancelRequested())
-      abort(ErrorCode::Cancelled, "cancelled during SMT check");
-    else
-      abort(ErrorCode::ResourceExhaustedSteps,
-            "SMT substrate exhausted its lemma budget");
+    ErrorInfo I = SmtSolver::unknownError(
+        F, "SMT substrate exhausted its lemma budget");
+    abort(I.Code, std::move(I.Detail));
   }
 
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point Deadline;
+  /// Installed when Opts.MemLimitMb is set.
+  ResourceGauge Gauge;
+  /// Opts.ChaosSeed's plan, installed when the seed is set and Opts.Faults
+  /// is null.
+  FaultInjector SeededFaults;
+  /// The governance this context replaced; reinstalled by the destructor.
+  TermContext::Governance Outer;
   SolverPool Pool;   ///< Persistent per-base solvers (lifetime: one run).
   QueryCache Cache;  ///< Memoized verdicts/models per conjunction term.
 };

@@ -91,7 +91,8 @@ struct SolverOptions {
 
   ItpMode Itp = ItpMode::CubeGeneralize;
 
-  /// Resource limits (0 = unlimited).
+  /// Resource limits (0 = unlimited). TimeoutMs bounds every SMT check of
+  /// the attempt, verification included.
   uint64_t TimeoutMs = 0;
   int MaxDepth = 0;
   uint64_t MaxRefineSteps = 0;
@@ -110,8 +111,8 @@ struct SolverOptions {
   /// serialized by name()/parse().
   unsigned MaxRetries = 0;
 
-  /// Deterministic chaos seed: when nonzero (and Faults is null),
-  /// ChcSolver::solve derives a FaultInjector from it for the attempt.
+  /// Deterministic chaos seed: when nonzero (and Faults is null), the
+  /// attempt's EngineContext derives a FaultInjector from it.
   /// Never serialized by name()/parse().
   uint64_t ChaosSeed = 0;
 
@@ -122,8 +123,8 @@ struct SolverOptions {
   FaultInjector *Faults = nullptr;
 
   /// Cooperative cancellation (see runtime/Cancel.h): when non-null, the
-  /// engine loops poll this flag, and ChcSolver::solve installs it on the
-  /// TermContext so every SMT check of the attempt polls it too; all wind
+  /// engine loops poll this flag, and the attempt's EngineContext installs
+  /// it on the TermContext so every SMT check polls it too; all wind
   /// down once it is set. The pointee must outlive the run; never
   /// serialized by name()/parse().
   const std::atomic<bool> *CancelFlag = nullptr;

@@ -38,11 +38,7 @@ void mucyc::sharePublishLemma(EngineContext &E, int Level, TermRef A,
       Neg.push_back(E.F.mkNot(D));
     SmtSolver S(E.F);
     S.assertFormula(A);
-    unsigned Probes = 0;
-    std::vector<TermRef> Core = S.minimizeCore(Neg, &Probes);
-    // Real solver work, but deliberately not countSmtCheck(): the
-    // fault-injection ordinal stream must match a non-sharing run.
-    E.Stats.SmtChecks += Probes;
+    std::vector<TermRef> Core = S.minimizeCore(Neg);
     // An empty core means A itself was unsat — the lemma carries no
     // assumption; publish it unminimized rather than a bare False.
     if (!Core.empty() && Core.size() < Neg.size()) {

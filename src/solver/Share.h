@@ -14,10 +14,10 @@
 ///    SmtSolver::minimizeCore, the minimizer cube generalization uses too —
 ///    dropping disjuncts keeps A => Lemma' valid and only strengthens the
 ///    lemma), then serialized over the alpha-canonical mz names
-///    (chc/Export.h) and pushed onto the bus. The minimizing solver takes
-///    its gauge and cancel flag from the TermContext like every other
-///    solver of the attempt; its probes count in SmtChecks but not in the
-///    fault-injection ordinals.
+///    (chc/Export.h) and pushed onto the bus. The minimizing solver is
+///    governed through the TermContext like every other solver of the
+///    attempt: its probes count in SmtChecks and in the fault-injection
+///    check ordinal, and the cancel flag and the deadline stop them.
 ///
 ///  * Import: at frame boundaries a member fetches peers' lemmas, parses
 ///    them into its own TermContext and re-checks, in its own frames, the
@@ -87,8 +87,7 @@ public:
 /// Publishes \p Lemma, a frame lemma at \p Level justified by the valid
 /// implication \p A => \p Lemma (the Conflict step's unsat query), after
 /// core-minimizing its disjuncts against A. No-op when sharing is off.
-/// Minimization probes are counted into Stats.SmtChecks and the literals
-/// dropped into Stats.CoreShrink.
+/// The literals dropped are counted into Stats.CoreShrink.
 void sharePublishLemma(EngineContext &E, int Level, TermRef A, TermRef Lemma);
 
 /// Which admission regime shareImportRound runs.

@@ -10,10 +10,10 @@
 
 using namespace mucyc;
 
-SolverResult mucyc::runSolveBaseline(TermContext &F, const NormalizedChc &N,
-                                     const SolverOptions &Opts) {
+SolverResult mucyc::runSolveBaseline(EngineContext &E) {
+  TermContext &F = E.F;
+  const NormalizedChc &N = E.N;
   SolverResult R;
-  EngineContext E(F, N, Opts);
   std::vector<VarId> Elim = EngineContext::concat(N.X, N.Y);
 
   auto Post = [&](TermRef Phi) {
@@ -80,7 +80,7 @@ SolverResult mucyc::runSolveBaseline(TermContext &F, const NormalizedChc &N,
     }
     if (R.Status == ChcStatus::Sat || E.Aborted)
       break;
-    if (Opts.MaxDepth && K >= Opts.MaxDepth)
+    if (E.Opts.MaxDepth && K >= E.Opts.MaxDepth)
       break;
 
     // Expand one level.
@@ -95,8 +95,5 @@ SolverResult mucyc::runSolveBaseline(TermContext &F, const NormalizedChc &N,
       break;
     Exact.push_back(F.mkOr(Exact.back(), Next));
   }
-  R.Stats = E.Stats;
-  if (R.Status == ChcStatus::Unknown)
-    R.Error = E.AbortInfo;
   return R;
 }

@@ -21,8 +21,8 @@
 
 namespace mucyc {
 
-SolverResult runSolveBaseline(TermContext &F, const NormalizedChc &N,
-                              const SolverOptions &Opts);
+/// Runs the baseline in the attempt's context.
+SolverResult runSolveBaseline(EngineContext &E);
 
 } // namespace mucyc
 

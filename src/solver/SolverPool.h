@@ -97,7 +97,7 @@ public:
 
   /// Checks base /\ (/\ Rest), reusing (or creating) the pooled solver for
   /// \p Base. \p Base may be invalid for the baseless bucket; \p Rest must
-  /// not contain it. The check obeys the context's cancel flag.
+  /// not contain it. The check is governed like every SmtSolver::check.
   Result check(TermRef Base, const std::vector<TermRef> &Rest);
 
   /// Solvers destroyed because they exceeded the atom limit.

@@ -30,7 +30,6 @@
 
 #include "solver/SpacerTs.h"
 
-#include "mbp/Mbp.h"
 #include "solver/Refiner.h"
 #include "solver/Share.h"
 
@@ -47,9 +46,8 @@ struct Query {
 
 class SpacerTsEngine {
 public:
-  SpacerTsEngine(TermContext &F, const NormalizedChc &N,
-                 const SolverOptions &Opts)
-      : F(F), N(N), Opts(Opts), E(F, N, Opts) {}
+  explicit SpacerTsEngine(EngineContext &E)
+      : F(E.F), N(E.N), Opts(E.Opts), E(E) {}
 
   SolverResult run();
 
@@ -74,8 +72,8 @@ private:
 
   TermContext &F;
   const NormalizedChc &N;
-  SolverOptions Opts;
-  EngineContext E;
+  const SolverOptions &Opts;
+  EngineContext &E;
 
   std::vector<std::vector<TermRef>> Frames; ///< Lemmas, index 0 = root.
   TermRef UAll;
@@ -126,8 +124,7 @@ SolverResult SpacerTsEngine::run() {
 
     // (Candidate).
     if (auto M = E.sat({frame(0), N.Bad})) {
-      TermRef Psi = mbp(F, MbpStrategy::LazyProject, {}, // Implicant cube.
-                        F.mkAnd(frame(0), N.Bad), *M);
+      TermRef Psi = E.implicant(F.mkAnd(frame(0), N.Bad), *M);
       Stack.push_back(Query{Psi, 0});
     } else {
       if (E.Aborted)
@@ -171,8 +168,7 @@ SolverResult SpacerTsEngine::run() {
       if (static_cast<int>(Frames.size()) <= Deeper) {
         // The query reached the initial-most frame; only iota can resolve.
         if (auto M = E.sat({N.Init, PsiZ})) {
-          TermRef G = mbp(F, MbpStrategy::LazyProject, {},
-                          F.mkAnd(N.Init, PsiZ), *M);
+          TermRef G = E.implicant(F.mkAnd(N.Init, PsiZ), *M);
           addU(Lvl, G, 1);
           Stack.pop_back();
           break; // Re-run the outer checks (U may now hit beta).
@@ -188,8 +184,7 @@ SolverResult SpacerTsEngine::run() {
 
       // Base reach: iota /\ psi.
       if (auto M = E.sat({N.Init, PsiZ})) {
-        TermRef G = mbp(F, MbpStrategy::LazyProject, {},
-                        F.mkAnd(N.Init, PsiZ), *M);
+        TermRef G = E.implicant(F.mkAnd(N.Init, PsiZ), *M);
         addU(Lvl, G, 1);
         Stack.pop_back();
         break;
@@ -262,16 +257,12 @@ SolverResult SpacerTsEngine::run() {
   R.Depth = static_cast<int>(Frames.size()) - 1;
   if (R.Status == ChcStatus::Unsat)
     R.Depth = std::max(R.Depth, UHeight - 2); // Verified at Depth + 2.
-  R.Stats = E.Stats;
-  if (R.Status == ChcStatus::Unknown)
-    R.Error = E.AbortInfo;
   return R;
 }
 
 } // namespace
 
-SolverResult mucyc::runSpacerTs(TermContext &F, const NormalizedChc &N,
-                                const SolverOptions &Opts) {
-  SpacerTsEngine Engine(F, N, Opts);
+SolverResult mucyc::runSpacerTs(EngineContext &E) {
+  SpacerTsEngine Engine(E);
   return Engine.run();
 }

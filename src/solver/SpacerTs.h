@@ -28,9 +28,8 @@
 
 namespace mucyc {
 
-/// Runs the Fig. 1 / Fig. 15 transition system.
-SolverResult runSpacerTs(TermContext &F, const NormalizedChc &N,
-                         const SolverOptions &Opts);
+/// Runs the Fig. 1 / Fig. 15 transition system in the attempt's context.
+SolverResult runSpacerTs(EngineContext &E);
 
 } // namespace mucyc
 

@@ -17,12 +17,13 @@
 /// memory, which is the safe direction for a governor.
 ///
 /// FaultInjector fires seed-derived faults at exact event counts:
-/// fail-at-Nth allocation (as ResourceExhaustedMemory), throw-at-Nth SMT
-/// check (as InvariantViolation), and a spurious cancel at the Nth
-/// cancellation poll. Counters are monotone across retries when the same
-/// injector instance is reused, so a fault that fired in attempt 1 does not
-/// re-fire in attempt 2 — exactly the transient-fault shape the retry
-/// ladder exists for. Instances are not thread-safe: one injector per job.
+/// fail-at-Nth allocation (as ResourceExhaustedMemory), throw at the
+/// attempt's Nth SMT check on any solver (as InvariantViolation), and a
+/// spurious cancel at the Nth cancellation poll. Counters are monotone
+/// across retries when the same injector instance is reused, so a fault
+/// that fired in attempt 1 does not re-fire in attempt 2 — exactly the
+/// transient-fault shape the retry ladder exists for. Instances are not
+/// thread-safe: one injector per job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +78,7 @@ private:
 class FaultInjector {
 public:
   uint64_t AllocTrip = 0;  ///< Fail the Nth node allocation.
-  uint64_t CheckTrip = 0;  ///< Throw at the Nth issued SMT check.
+  uint64_t CheckTrip = 0;  ///< Throw at the attempt's Nth check, any solver.
   uint64_t CancelTrip = 0; ///< Report cancelled at the Nth expiry poll.
 
   /// Derives a fault plan from a chaos seed: which fault classes are armed
@@ -104,7 +105,7 @@ public:
                      std::to_string(Allocs));
   }
 
-  /// Call when an SMT check is actually issued to a solver.
+  /// Called by SmtSolver::check on every call, after it counts the check.
   void onSmtCheck() {
     if (CheckTrip && ++Checks == CheckTrip)
       raiseError(ErrorCode::InvariantViolation,

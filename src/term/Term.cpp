@@ -41,10 +41,10 @@ TermRef TermContext::intern(Kind K, Sort S, VarId Var, Rational Val,
     return TermRef(It->second);
   // Governance hooks fire before any mutation, so a budget trip or injected
   // allocation failure leaves the context consistent and reusable.
-  if (Faults)
-    Faults->onAlloc();
-  if (Gauge)
-    Gauge->charge(sizeof(TermNode) + N.Kids.size() * sizeof(TermRef) + 64);
+  if (Gov.Faults)
+    Gov.Faults->onAlloc();
+  if (Gov.Gauge)
+    Gov.Gauge->charge(sizeof(TermNode) + N.Kids.size() * sizeof(TermRef) + 64);
   // Move the kid array into the arena; the stored node must not reference
   // caller storage.
   if (NumKids)

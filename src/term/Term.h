@@ -27,6 +27,7 @@
 #include "support/Rational.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <iterator>
@@ -264,26 +265,43 @@ public:
   // Resource governance (see support/Fault.h)
   //===--------------------------------------------------------------------===
 
-  /// Installs a cumulative-allocation gauge charged on every interned node.
-  /// The SMT substrates created for this context (CDCL, simplex) pick it up
-  /// too, so one gauge meters the whole solving attempt. The pointee must
-  /// outlive its installation; uninstall (nullptr) before it dies.
-  void setResourceGauge(ResourceGauge *G) { Gauge = G; }
-  ResourceGauge *resourceGauge() const { return Gauge; }
+  /// What one solving attempt installs on the context, so that every solver
+  /// the attempt builds, pooled or throwaway, is governed alike. The
+  /// attempt's EngineContext installs it for its lifetime and reinstalls
+  /// the previous one when it ends. Pointees must outlive their
+  /// installation.
+  struct Governance {
+    /// Charged on every interned node, and by the SMT substrates built on
+    /// this context (CDCL, simplex).
+    ResourceGauge *Gauge = nullptr;
+    /// Polled on every allocation and every SMT check.
+    FaultInjector *Faults = nullptr;
+    /// Read by every SmtSolver at each check().
+    const std::atomic<bool> *Cancel = nullptr;
+    /// The attempt's SMT check count; SmtSolver::check advances it.
+    uint64_t *Checks = nullptr;
+    /// A check() past the deadline answers Unknown.
+    std::optional<std::chrono::steady_clock::time_point> Deadline;
+  };
 
-  /// Installs a deterministic fault injector polled on every allocation.
-  void setFaultInjector(FaultInjector *FI) { Faults = FI; }
-  FaultInjector *faultInjector() const { return Faults; }
-
-  /// Installs the attempt's cooperative cancel flag. Every SmtSolver built
-  /// on this context reads it at each check(), so pooled and throwaway
-  /// solvers alike stop within one round once it is set. The pointee must
-  /// outlive its installation; uninstall (nullptr) before it dies.
-  void setCancelFlag(const std::atomic<bool> *Flag) { Cancel = Flag; }
-  const std::atomic<bool> *cancelFlag() const { return Cancel; }
-  bool cancelRequested() const {
-    return Cancel && Cancel->load(std::memory_order_relaxed);
+  /// Installs \p G and returns the governance it replaces.
+  Governance swapGovernance(Governance G) {
+    std::swap(G, Gov);
+    return G;
   }
+  const Governance &governance() const { return Gov; }
+
+  /// Set one field, for code that governs a context without an attempt.
+  void setResourceGauge(ResourceGauge *G) { Gov.Gauge = G; }
+  void setCancelFlag(const std::atomic<bool> *Flag) { Gov.Cancel = Flag; }
+  bool cancelRequested() const {
+    return Gov.Cancel && Gov.Cancel->load(std::memory_order_relaxed);
+  }
+  bool deadlinePassed() const {
+    return Gov.Deadline && std::chrono::steady_clock::now() > *Gov.Deadline;
+  }
+  /// True once the attempt must stop: cancelled or past its deadline.
+  bool stopRequested() const { return cancelRequested() || deadlinePassed(); }
 
   /// Payload bytes the kid arena has handed out — a pure function of the
   /// interning trace (used by determinism tests and diagnostics).
@@ -336,9 +354,7 @@ private:
   std::vector<TermRef> VarTerms;
   uint64_t FreshCounter = 0;
   TermRef TrueRef, FalseRef;
-  ResourceGauge *Gauge = nullptr;
-  FaultInjector *Faults = nullptr;
-  const std::atomic<bool> *Cancel = nullptr;
+  Governance Gov;
   TermListMemo BlockedCubeMemo;
 };
 

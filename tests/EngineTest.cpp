@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench_suite/Suite.h"
+#include "solver/ChcSolve.h"
 #include "solver/Engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <thread>
 
 using namespace mucyc;
 
@@ -149,4 +152,102 @@ TEST_F(EngineFixture, ConcatPreservesOrder) {
   ASSERT_EQ(R.size(), 3u);
   EXPECT_EQ(R[0], 1u);
   EXPECT_EQ(R[2], 3u);
+}
+
+//===----------------------------------------------------------------------===
+// One EngineContext per attempt: every check counted, bounded and kept
+//===----------------------------------------------------------------------===
+
+namespace {
+using Clock = std::chrono::steady_clock;
+using Builder = std::function<NormalizedChc(TermContext &)>;
+
+SolverResult solveExample(const Builder &Build, const SolverOptions &Opts) {
+  TermContext C;
+  NormalizedChc N = Build(C);
+  return ChcSolver(C, N, Opts).solve();
+}
+
+/// Solves with a cancel at 1 s; returns the result and the seconds from the
+/// cancel to the return.
+std::pair<SolverResult, double>
+solveCancelledAfterOneSecond(const Builder &Build, SolverOptions Opts) {
+  std::atomic<bool> Flag{false};
+  Opts.CancelFlag = &Flag;
+  Clock::time_point CancelAt;
+  std::thread Canceller([&] {
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    CancelAt = Clock::now();
+    Flag.store(true);
+  });
+  SolverResult R = solveExample(Build, Opts);
+  auto Done = Clock::now();
+  Canceller.join();
+  return {R, std::chrono::duration<double>(Done - CancelAt).count()};
+}
+} // namespace
+
+TEST(AttemptTest, InjectedFaultKeepsTheAttemptsCounts) {
+  // The fault fires inside SmtSolver::check at the attempt's 20th check on
+  // any solver; the typed throw ends the solve, and the result still
+  // carries the checks and refinements made up to it.
+  SolverOptions Opts = *SolverOptions::parse("Ret(T,MBP(1))");
+  FaultInjector FI;
+  FI.CheckTrip = 20;
+  Opts.Faults = &FI;
+  SolverResult R = solveExample(paperExample5, Opts);
+  EXPECT_EQ(R.Status, ChcStatus::Unknown);
+  EXPECT_EQ(R.Error.Code, ErrorCode::InvariantViolation);
+  EXPECT_NE(R.Error.Detail.find("#20"), std::string::npos) << R.Error.Detail;
+  EXPECT_EQ(R.Stats.SmtChecks, 20u);
+  EXPECT_GT(R.Stats.RefineCalls, 0u);
+}
+
+TEST(AttemptTest, VerificationChecksAreCounted) {
+  // Verification runs inside the attempt, so its checks are the attempt's.
+  // Fresh contexts: a shared one would answer the second solve's
+  // generalizations from its memo.
+  SolverOptions Opts = *SolverOptions::parse("Ret(T,MBP(1))");
+  SolverResult Plain = solveExample(paperExample5, Opts);
+  Opts.VerifyResult = true;
+  SolverResult Verified = solveExample(paperExample5, Opts);
+  ASSERT_EQ(Plain.Status, ChcStatus::Sat);
+  ASSERT_EQ(Verified.Status, ChcStatus::Sat);
+  EXPECT_EQ(Verified.Stats.RefineCalls, Plain.Stats.RefineCalls);
+  EXPECT_GT(Verified.Stats.SmtChecks, Plain.Stats.SmtChecks);
+}
+
+TEST(AttemptTest, SolveBaselineStopsAtTheDeadlineAndOnCancel) {
+  // Solve diverges on Example 5, and most of its time goes to QE and
+  // interpolation on throwaway solvers, which the engine's own expiry
+  // poll never sees.
+  SolverOptions Opts = *SolverOptions::parse("Solve");
+  Opts.TimeoutMs = 2000;
+  auto T0 = Clock::now();
+  SolverResult R = solveExample(paperExample5, Opts);
+  double Secs = std::chrono::duration<double>(Clock::now() - T0).count();
+  EXPECT_EQ(R.Status, ChcStatus::Unknown);
+  EXPECT_EQ(R.Error.Code, ErrorCode::Timeout) << R.Error.describe();
+  EXPECT_LT(Secs, 2.5);
+  EXPECT_GT(R.Stats.RefineCalls, 0u);
+
+  // A cancel at 1 s: the attempt returns Cancelled within 50 ms.
+  Opts.TimeoutMs = 0;
+  auto [RC, Latency] = solveCancelledAfterOneSecond(paperExample5, Opts);
+  EXPECT_EQ(RC.Error.Code, ErrorCode::Cancelled) << RC.Error.describe();
+  EXPECT_LT(Latency, 0.05);
+}
+
+TEST(AttemptTest, YieldStopsOnCancel) {
+  // Ind(Yld) diverges on treemax_unsafe_14; its cube generalizations,
+  // weakenItp's among them, run on throwaway solvers.
+  Builder Build;
+  for (const BenchInstance &I : buildSuite())
+    if (I.Name == "treemax_unsafe_14")
+      Build = I.Build;
+  ASSERT_TRUE(Build);
+  auto [R, Latency] = solveCancelledAfterOneSecond(
+      Build, *SolverOptions::parse("Ind(Yld(T,MBP(1)))"));
+  EXPECT_EQ(R.Error.Code, ErrorCode::Cancelled) << R.Error.describe();
+  EXPECT_LT(Latency, 0.05);
 }

@@ -260,6 +260,8 @@ TEST(ExchangeTest, InductiveModeAdmitsOnlySelfInductiveLemmas) {
 
 TEST(ExchangeTest, MinimizeCoreReturnsUnsatSubset) {
   TermContext C;
+  NormalizedChc N = counterSystem(C);
+  EngineContext E(C, N, SolverOptions());
   TermRef V = C.mkFreshVar("mc!x", Sort::Int);
   SmtSolver S(C);
   S.assertFormula(C.mkGe(V, C.mkIntConst(10)));
@@ -270,9 +272,12 @@ TEST(ExchangeTest, MinimizeCoreReturnsUnsatSubset) {
                              C.mkLt(V, C.mkIntConst(5)),
                              C.mkLt(V, C.mkIntConst(100))};
   unsigned Probes = 0;
+  uint64_t Before = E.Stats.SmtChecks;
   std::vector<TermRef> Core = S.minimizeCore(As, &Probes);
   ASSERT_EQ(Core.size(), 1u);
   EXPECT_GT(Probes, 0u);
+  // Every probe is one check of the attempt, counted by the gateway.
+  EXPECT_EQ(E.Stats.SmtChecks - Before, Probes);
   // Subset of the assumptions, and still unsat against the assertions.
   EXPECT_TRUE(Core[0] == As[0] || Core[0] == As[1]);
   SmtSolver S2(C);
